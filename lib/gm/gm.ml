@@ -16,10 +16,17 @@ type stats = {
   tokens_available : int;
 }
 
+(* Receive tokens: a singly linked FIFO behind a sentinel cell, so an
+   arrival can unlink the first token long enough for it in one scan and
+   leave the rest in order, allocating nothing. *)
+type token = { buf : bytes; mutable next : token option }
+
 type t = {
   tp : Simnet.Transport.t;
   self : Simnet.Proc_id.t;
-  tokens : bytes Queue.t;
+  tokens : token; (* sentinel; the FIFO starts at [tokens.next] *)
+  mutable last_token : token;
+  mutable n_tokens : int;
   events : event Queue.t;
   nonempty : Sim_engine.Sync.Waitq.t;
   depth_series : Sim_engine.Metrics.series;
@@ -42,19 +49,17 @@ let record_depth t =
 (* Take the first token that can hold [len] bytes, preserving the FIFO
    order of the rest. *)
 let take_token t len =
-  let n = Queue.length t.tokens in
-  let rec rotate i found =
-    if i >= n then found
-    else begin
-      let tok = Queue.pop t.tokens in
-      match found with
-      | None when Bytes.length tok >= len -> rotate (i + 1) (Some tok)
-      | None | Some _ ->
-        Queue.add tok t.tokens;
-        rotate (i + 1) found
-    end
+  let rec scan prev =
+    match prev.next with
+    | None -> None
+    | Some tok when Bytes.length tok.buf >= len ->
+      prev.next <- tok.next;
+      if t.last_token == tok then t.last_token <- prev;
+      t.n_tokens <- t.n_tokens - 1;
+      Some tok.buf
+    | Some tok -> scan tok
   in
-  rotate 0 None
+  scan t.tokens
 
 let on_arrival t ~src payload =
   if t.live then begin
@@ -74,11 +79,14 @@ let open_port tp ~id:self =
   let sched = tp.Simnet.Transport.sched in
   let m = Sim_engine.Scheduler.metrics sched in
   let pname = Format.asprintf "%a" Simnet.Proc_id.pp self in
+  let sentinel = { buf = Bytes.empty; next = None } in
   let t =
     {
       tp;
       self;
-      tokens = Queue.create ();
+      tokens = sentinel;
+      last_token = sentinel;
+      n_tokens = 0;
       events = Queue.create ();
       nonempty = Sim_engine.Sync.Waitq.create ~name:"gm-port" sched;
       depth_series =
@@ -109,18 +117,30 @@ let close t =
   end
 
 let id t = t.self
-let provide_receive_token t buffer = Queue.add buffer t.tokens
 
-let send t ~dst payload =
+let provide_receive_token t buf =
+  let tok = { buf; next = None } in
+  t.last_token.next <- Some tok;
+  t.last_token <- tok;
+  t.n_tokens <- t.n_tokens + 1
+
+let send_with t ~dst ~len:length ~fill =
   t.s_sends <- t.s_sends + 1;
-  let length = Bytes.length payload in
-  t.tp.Simnet.Transport.send ~src:t.self ~dst (Bytes.copy payload);
+  (* The one frame image: the fabric owns it from here on, so the caller's
+     own buffers are free as soon as [fill] returns. *)
+  let frame = Bytes.create length in
+  fill frame;
+  t.tp.Simnet.Transport.send ~src:t.self ~dst frame;
   Sim_engine.Scheduler.after t.tp.Simnet.Transport.sched
     t.tp.Simnet.Transport.send_overhead (fun () ->
       if t.live then begin
         Queue.add (Send_complete { dst; length }) t.events;
         Sim_engine.Sync.Waitq.broadcast t.nonempty
       end)
+
+let send t ~dst payload =
+  let len = Bytes.length payload in
+  send_with t ~dst ~len ~fill:(fun frame -> Bytes.blit payload 0 frame 0 len)
 
 let poll t =
   t.s_polls <- t.s_polls + 1;
@@ -150,5 +170,5 @@ let stats t =
     receives = t.s_receives;
     drops_no_token = t.s_drops;
     polls = t.s_polls;
-    tokens_available = Queue.length t.tokens;
+    tokens_available = t.n_tokens;
   }

@@ -17,7 +17,10 @@
 type event =
   | Recv_complete of { src : Simnet.Proc_id.t; buffer : bytes; length : int }
       (** A message landed in [buffer] (a formerly provided token; the
-          first [length] bytes are valid). *)
+          first [length] bytes are valid). The bytes are valid only until
+          the token is handed back with {!provide_receive_token}: the
+          next arrival it serves overwrites them, so a consumer that keeps
+          a message longer must copy it out first. *)
   | Send_complete of { dst : Simnet.Proc_id.t; length : int }
       (** A send's data left the local NIC; the send buffer is reusable. *)
 
@@ -45,9 +48,20 @@ val id : t -> Simnet.Proc_id.t
 val provide_receive_token : t -> bytes -> unit
 (** Append a receive buffer to the token FIFO. *)
 
+val send_with :
+  t -> dst:Simnet.Proc_id.t -> len:int -> fill:(bytes -> unit) -> unit
+(** Asynchronous send of a [len]-byte message built in place:
+    [send_with t ~dst ~len ~fill] allocates the frame, calls [fill frame]
+    exactly once to write all [len] bytes (the frame starts
+    uninitialised), and hands the frame to the fabric, which owns it from
+    then on. Whatever [fill] read from — a header, the application's
+    buffer — is free for reuse as soon as [fill] returns; no copy is made
+    after it. A [Send_complete] event is queued once the data has left
+    the local NIC. *)
+
 val send : t -> dst:Simnet.Proc_id.t -> bytes -> unit
-(** Asynchronous send; a [Send_complete] event is queued once the data
-    has left. The buffer must not be reused before then. *)
+(** [send t ~dst b] is {!send_with} blitting all of [b] into the frame:
+    [b] may be reused as soon as the call returns. *)
 
 val poll : t -> event option
 (** Drain one completion event, oldest first — the {e only} way the

@@ -61,19 +61,35 @@ val rdvz_header_size : int
 val encode_rdvz_header : cookie:int64 -> total_len:int -> bytes
 val decode_rdvz_header : bytes -> off:int -> (int64 * int, string) result
 
-(** {1 GM framing} *)
+(** {1 GM framing}
 
-type gm_message =
-  | Gm_eager of { env : t; payload : bytes }
+    A GM message is a 33-byte header followed by its payload, built in
+    the frame [Gm.send_with] allocates and decoded in place in the
+    receive token it landed in, so the payload is never copied on the
+    way. *)
+
+type gm_header =
+  | Gm_eager of { env : t; pay_len : int }
   | Gm_rts of { env : t; cookie : int; total_len : int }
       (** "I have [total_len] bytes for this envelope; pull when matched." *)
   | Gm_cts of { cookie : int }
       (** "Matched; send the data for [cookie]." *)
-  | Gm_data of { cookie : int; payload : bytes }
+  | Gm_data of { cookie : int; pay_len : int }
+(** Eager and data messages carry [pay_len] payload bytes, which follow
+    the header at offset {!gm_header_size}. *)
 
 val gm_header_size : int
-val encode_gm : gm_message -> bytes
-val decode_gm : bytes -> (gm_message, string) result
+
+val write_gm_header : bytes -> gm_header -> unit
+(** Write all {!gm_header_size} header bytes at offset 0, unused fields
+    as zeros; the caller writes the payload after it. *)
+
+val decode_gm : bytes -> len:int -> (gm_header, string) result
+(** Decode the message occupying the first [len] bytes of the buffer
+    without copying: the payload of an eager or data message is the
+    remaining [len - gm_header_size] bytes, at {!gm_header_size}. A
+    short, foreign or unknown-kind input is an [Error], never an
+    exception. *)
 
 (** {1 ibverbs channel framing}
 

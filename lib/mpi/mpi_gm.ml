@@ -41,6 +41,8 @@ type t = {
   awaiting_cts : (int, request * bytes) Hashtbl.t; (* cookie -> send *)
   awaiting_data : (int, request * Envelope.t) Hashtbl.t; (* cookie -> recv *)
   failed : (int, unit) Hashtbl.t; (* ranks whose node crashed *)
+  mutable spare_size : int;
+  mutable spare_grants : bytes list; (* landed grant tokens of [spare_size] *)
   mutable peer_cbs : (rank:int -> unit) list;
   mutable eager_sends : int;
   mutable rdvz_sends : int;
@@ -125,6 +127,8 @@ let create tp ~ranks ~rank:my_rank ?(config = default_config) () =
       awaiting_cts = Hashtbl.create 16;
       awaiting_data = Hashtbl.create 16;
       failed = Hashtbl.create 4;
+      spare_size = 0;
+      spare_grants = [];
       peer_cbs = [];
       eager_sends = 0;
       rdvz_sends = 0;
@@ -169,9 +173,15 @@ let reconnect t ~rank:r =
 let check_alive t peer =
   if Hashtbl.mem t.failed peer then raise (Envelope.Peer_failed peer)
 
-let gm_send t ~dst msg kind =
+(* Build the message in the one frame GM sends: header, then the payload
+   blitted straight from the caller's buffer. *)
+let gm_send t ~dst hdr ~payload kind =
   Queue.add kind t.sent_fifo;
-  Gm.send t.gm_port ~dst:t.ranks.(dst) (Envelope.encode_gm msg)
+  let n = Bytes.length payload in
+  Gm.send_with t.gm_port ~dst:t.ranks.(dst) ~len:(Envelope.gm_header_size + n)
+    ~fill:(fun frame ->
+      Envelope.write_gm_header frame hdr;
+      Bytes.blit payload 0 frame Envelope.gm_header_size n)
 
 (* Find and remove the first posted receive matching the envelope. *)
 let match_posted t (env : Envelope.t) =
@@ -189,32 +199,64 @@ let match_posted t (env : Envelope.t) =
   done;
   !found
 
-let copy_in t req payload length =
-  let n = min length (Bytes.length req.buffer) in
+(* The charged host copy into the user's buffer. [src] is the receive
+   token the message landed in, or an unexpected eager message's copy. *)
+let copy_in t req src ~off ~len =
+  let n = min len (Bytes.length req.buffer) in
   Scheduler.delay t.sched (t.tp.Simnet.Transport.host_copy_time n);
-  Bytes.blit payload 0 req.buffer 0 n;
+  Bytes.blit src off req.buffer 0 n;
   n
+
+(* A grant token of exactly [size] bytes: one that an earlier rendezvous
+   landed in if there is one, so token sizes (and hence which token each
+   arrival takes) are the same as with fresh buffers. *)
+let grant_token t size =
+  match t.spare_grants with
+  | tok :: rest when size = t.spare_size ->
+    t.spare_grants <- rest;
+    tok
+  | _ -> Bytes.create size
+
+(* A token is back from an arrival. Small tokens return to the port; a
+   grant token waits for the next grant of its size. Spares are kept for
+   the latest size only, so they never outnumber the grants of one size
+   that were outstanding at once. *)
+let recycle_token t buffer =
+  let size = Bytes.length buffer in
+  if size = token_size t then Gm.provide_receive_token t.gm_port buffer
+  else begin
+    if size <> t.spare_size then begin
+      t.spare_size <- size;
+      t.spare_grants <- []
+    end;
+    t.spare_grants <- buffer :: t.spare_grants
+  end
 
 (* Grant a matched rendezvous: provision a token big enough for the data
    message, then tell the sender to go. *)
 let grant_rts t ~env ~cookie ~total req =
   Hashtbl.replace t.awaiting_data cookie (req, env);
   Gm.provide_receive_token t.gm_port
-    (Bytes.create (total + Envelope.gm_header_size));
-  gm_send t ~dst:env.Envelope.src_rank (Envelope.Gm_cts { cookie }) Sk_control
+    (grant_token t (total + Envelope.gm_header_size));
+  gm_send t ~dst:env.Envelope.src_rank (Envelope.Gm_cts { cookie })
+    ~payload:Bytes.empty Sk_control
 
-let handle_recv t ~src payload length =
-  let data = Bytes.sub payload 0 length in
-  match Envelope.decode_gm data with
+(* Run the protocol over a message decoded in place in its token. The
+   token goes back to the port once this returns, so only an unexpected
+   eager payload, which outlives it, is copied out. *)
+let handle_recv t token length =
+  let off = Envelope.gm_header_size in
+  match Envelope.decode_gm token ~len:length with
   | Error _ -> () (* not an MPI message; ignore *)
-  | Ok (Envelope.Gm_eager { env; payload }) ->
+  | Ok (Envelope.Gm_eager { env; pay_len }) ->
     (match match_posted t env with
     | Some req ->
-      let n = copy_in t req payload (Bytes.length payload) in
+      let n = copy_in t req token ~off ~len:pay_len in
       complete t req
         { source = env.Envelope.src_rank; tag = env.Envelope.tag; length = n }
     | None ->
-      Queue.add (Ux_eager { ux_env = env; ux_payload = payload }) t.unexpected)
+      let ux_payload = Bytes.sub token off pay_len in
+      Queue.add (Ux_eager { ux_env = env; ux_payload }) t.unexpected)
   | Ok (Envelope.Gm_rts { env; cookie; total_len }) ->
     (match match_posted t env with
     | Some req -> grant_rts t ~env ~cookie ~total:total_len req
@@ -228,16 +270,17 @@ let handle_recv t ~src payload length =
     | Some (req, data) ->
       Hashtbl.remove t.awaiting_cts cookie;
       let dst = req.want_source in
-      gm_send t ~dst (Envelope.Gm_data { cookie; payload = data }) (Sk_data req))
-  | Ok (Envelope.Gm_data { cookie; payload }) ->
+      gm_send t ~dst
+        (Envelope.Gm_data { cookie; pay_len = Bytes.length data })
+        ~payload:data (Sk_data req))
+  | Ok (Envelope.Gm_data { cookie; pay_len }) ->
     (match Hashtbl.find_opt t.awaiting_data cookie with
     | None -> ()
     | Some (req, env) ->
       Hashtbl.remove t.awaiting_data cookie;
-      let n = copy_in t req payload (Bytes.length payload) in
+      let n = copy_in t req token ~off ~len:pay_len in
       complete t req
-        { source = env.Envelope.src_rank; tag = env.Envelope.tag; length = n });
-  ignore src
+        { source = env.Envelope.src_rank; tag = env.Envelope.tag; length = n })
 
 let handle_sent t =
   match Queue.take_opt t.sent_fifo with
@@ -263,12 +306,9 @@ let progress_raw t =
   let rec drain () =
     match Gm.poll t.gm_port with
     | None -> ()
-    | Some (Gm.Recv_complete { src; buffer; length }) ->
-      handle_recv t ~src buffer length;
-      (* Recycle the token (unexpected eagers were copied out of it by
-         Bytes.sub, so the buffer is free either way). *)
-      if Bytes.length buffer = token_size t then
-        Gm.provide_receive_token t.gm_port buffer;
+    | Some (Gm.Recv_complete { buffer; length; _ }) ->
+      handle_recv t buffer length;
+      recycle_token t buffer;
       drain ()
     | Some (Gm.Send_complete _) ->
       handle_sent t;
@@ -314,14 +354,16 @@ let isend t ?(context = 0) ~dst ~tag data =
   (match env.Envelope.protocol with
   | Envelope.Eager ->
     t.eager_sends <- t.eager_sends + 1;
-    gm_send t ~dst (Envelope.Gm_eager { env; payload = data }) (Sk_eager req)
+    gm_send t ~dst
+      (Envelope.Gm_eager { env; pay_len = Bytes.length data })
+      ~payload:data (Sk_eager req)
   | Envelope.Rendezvous ->
     t.rdvz_sends <- t.rdvz_sends + 1;
     let cookie = fresh_cookie t in
     Hashtbl.replace t.awaiting_cts cookie (req, data);
     gm_send t ~dst
       (Envelope.Gm_rts { env; cookie; total_len = Bytes.length data })
-      Sk_control);
+      ~payload:Bytes.empty Sk_control);
   req
 
 let take_unexpected t ~context ~source ~tag =
@@ -356,7 +398,7 @@ let irecv t ?(context = 0) ?(source = Envelope.any_source)
   in
   (match take_unexpected t ~context ~source ~tag with
   | Some (Ux_eager { ux_env; ux_payload }) ->
-    let n = copy_in t req ux_payload (Bytes.length ux_payload) in
+    let n = copy_in t req ux_payload ~off:0 ~len:(Bytes.length ux_payload) in
     complete t req
       { source = ux_env.Envelope.src_rank; tag = ux_env.Envelope.tag; length = n }
   | Some (Ux_rts { ux_env; ux_cookie; ux_total }) ->

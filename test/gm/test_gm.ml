@@ -131,6 +131,75 @@ let tests =
                 (fun s (i, len) -> s = String.make len (Char.chr (65 + (i mod 26))))
                 got
                 (List.mapi (fun i l -> (i, l)) sizes)));
+    Alcotest.test_case "taking a token keeps the rest in FIFO order" `Quick
+      (fun () ->
+        (* Tokens small1, big1, small2, big2: a big message takes big1 out
+           of the middle, later ones find the rest in order, and a token
+           provided after the tail was taken is still reachable. *)
+        let sched, tp = setup () in
+        let rx = Gm.open_port tp ~id:(proc 1 0) in
+        let small1 = Bytes.create 4 and big1 = Bytes.create 32 in
+        let small2 = Bytes.create 4 and big2 = Bytes.create 32 in
+        List.iter (Gm.provide_receive_token rx) [ small1; big1; small2; big2 ];
+        let txp = Gm.open_port tp ~id:(proc 0 0) in
+        let big3 = Bytes.create 32 in
+        Scheduler.spawn sched (fun () ->
+            List.iter
+              (fun s ->
+                Gm.send txp ~dst:(proc 1 0) (Bytes.of_string s);
+                Scheduler.delay sched (Time_ns.us 100.0))
+              [ "big-one"; "s1"; "s2"; "big-two" ];
+            (* The tail (big2) is gone; a new token must still be found. *)
+            Gm.provide_receive_token rx big3;
+            Gm.send txp ~dst:(proc 1 0) (Bytes.of_string "big-three"));
+        Scheduler.run sched;
+        let landed tok n = Bytes.sub_string tok 0 n in
+        Alcotest.(check (list string)) "each message in its token"
+          [ "big-one"; "s1"; "s2"; "big-two"; "big-three" ]
+          [ landed big1 7; landed small1 2; landed small2 2; landed big2 7;
+            landed big3 9 ];
+        Alcotest.(check int) "no drops" 0 (Gm.stats rx).Gm.drops_no_token;
+        Alcotest.(check int) "pool empty" 0 (Gm.stats rx).Gm.tokens_available);
+    Alcotest.test_case "send copies the buffer before returning" `Quick
+      (fun () ->
+        (* The sender may reuse its buffer as soon as [send] returns: the
+           frame on the wire is its own image. *)
+        let sched, tp = setup () in
+        let rx = Gm.open_port tp ~id:(proc 1 0) in
+        let token = Bytes.create 64 in
+        Gm.provide_receive_token rx token;
+        let txp = Gm.open_port tp ~id:(proc 0 0) in
+        let buf = Bytes.of_string "original-bytes" in
+        Gm.send txp ~dst:(proc 1 0) buf;
+        Bytes.fill buf 0 (Bytes.length buf) 'X';
+        Scheduler.run sched;
+        Alcotest.(check string) "original delivered" "original-bytes"
+          (Bytes.sub_string token 0 14));
+    Alcotest.test_case "send_with fills the frame once" `Quick (fun () ->
+        let sched, tp = setup () in
+        let rx = Gm.open_port tp ~id:(proc 1 0) in
+        let token = Bytes.create 64 in
+        Gm.provide_receive_token rx token;
+        let txp = Gm.open_port tp ~id:(proc 0 0) in
+        let calls = ref 0 in
+        let src = Bytes.of_string "payload" in
+        Gm.send_with txp ~dst:(proc 1 0) ~len:10 ~fill:(fun frame ->
+            incr calls;
+            Alcotest.(check int) "frame length" 10 (Bytes.length frame);
+            Bytes.blit_string "hd:" 0 frame 0 3;
+            Bytes.blit src 0 frame 3 7);
+        Bytes.fill src 0 7 'X';
+        Scheduler.run sched;
+        Alcotest.(check int) "fill called once" 1 !calls;
+        (match Gm.poll rx with
+        | Some (Gm.Recv_complete { buffer; length; _ }) ->
+          Alcotest.(check string) "frame as filled" "hd:payload"
+            (Bytes.sub_string buffer 0 length)
+        | Some (Gm.Send_complete _) | None -> Alcotest.fail "expected a receive");
+        match Gm.poll txp with
+        | Some (Gm.Send_complete { length; _ }) ->
+          Alcotest.(check int) "completion length" 10 length
+        | Some (Gm.Recv_complete _) | None -> Alcotest.fail "expected send event");
   ]
 
 let () = Alcotest.run "gm" [ ("port", tests) ]

@@ -918,6 +918,111 @@ let context_tests =
           Alcotest.(check string) "claimed by context" "seven" !got);
     ]
 
+(* GM decodes each message in place in the receive token it landed in
+   and reuses rendezvous grant tokens, so a token's bytes are overwritten
+   by the next arrival it serves. These pin that no delivered message
+   aliases a token past its hand-back. *)
+let gm_world ?(config = Mpi.Mpi_gm.default_config) () =
+  let sched = Scheduler.create () in
+  let fabric =
+    Simnet.Fabric.create sched ~profile:Simnet.Profile.myrinet_mcp ~nodes:2
+  in
+  let tp = Simnet.Transport.offload fabric in
+  let ranks = [| proc 0 0; proc 1 0 |] in
+  let eps =
+    Array.init 2 (fun rank -> Mpi.Mpi_gm.create tp ~ranks ~rank ~config ())
+  in
+  (sched, eps)
+
+let gm_aliasing_tests =
+  [
+    Alcotest.test_case
+      "unexpected eager keeps its bytes after its token is reused [gm]" `Quick
+      (fun () ->
+        (* One receive token: the second message must land in the token the
+           first (unexpected) one was decoded from. *)
+        let module G = Mpi.Mpi_gm in
+        let sched, eps =
+          gm_world ~config:{ G.default_config with recv_tokens = 1 } ()
+        in
+        let first = "first-payload!" and second = "SECOND-PAYLOAD" in
+        let got_first = Bytes.create 14 and got_second = Bytes.create 14 in
+        Scheduler.spawn sched (fun () ->
+            ignore (G.wait eps.(0) (G.isend eps.(0) ~dst:1 ~tag:1 (Bytes.of_string first)));
+            Scheduler.delay sched (Time_ns.ms 1.0);
+            ignore
+              (G.wait eps.(0) (G.isend eps.(0) ~dst:1 ~tag:2 (Bytes.of_string second))));
+        Scheduler.spawn sched (fun () ->
+            Scheduler.delay sched (Time_ns.us 500.0);
+            (* The first message is unexpected; its token goes back. *)
+            G.progress eps.(1);
+            ignore (G.wait eps.(1) (G.irecv eps.(1) ~source:0 ~tag:2 got_second));
+            ignore (G.wait eps.(1) (G.irecv eps.(1) ~source:0 ~tag:1 got_first)));
+        Scheduler.run sched;
+        let st = Gm.stats (G.port eps.(1)) in
+        Alcotest.(check int) "both arrived" 2 st.Gm.receives;
+        Alcotest.(check int) "through the one token" 0 st.Gm.drops_no_token;
+        Alcotest.(check string) "second" second (Bytes.to_string got_second);
+        Alcotest.(check string) "first intact" first (Bytes.to_string got_first));
+    Alcotest.test_case
+      "a matched eager message is read before its token goes back [gm]" `Quick
+      (fun () ->
+        (* One token. The 16 kB message's charged host copy (64 us) reads
+           from the token; a tiny message arriving meanwhile finds no
+           token and is dropped, instead of overwriting the bytes being
+           copied. *)
+        let module G = Mpi.Mpi_gm in
+        let sched, eps =
+          gm_world ~config:{ G.default_config with recv_tokens = 1 } ()
+        in
+        let size = 16_000 in
+        let big = Bytes.init size (fun j -> Char.chr ((j * 13) land 0xff)) in
+        let got = Bytes.create size in
+        Scheduler.spawn sched (fun () ->
+            let a = G.isend eps.(0) ~dst:1 ~tag:0 (Bytes.copy big) in
+            let b = G.isend eps.(0) ~dst:1 ~tag:1 (Bytes.make 8 'Z') in
+            ignore (G.wait eps.(0) a);
+            ignore (G.wait eps.(0) b));
+        Scheduler.spawn sched (fun () ->
+            ignore (G.wait eps.(1) (G.irecv eps.(1) ~source:0 ~tag:0 got)));
+        Scheduler.run sched;
+        Alcotest.(check bool) "16 kB message exact" true (Bytes.equal got big);
+        Alcotest.(check int) "the tiny one found no token" 1
+          (Gm.stats (G.port eps.(1))).Gm.drops_no_token);
+    Alcotest.test_case
+      "back-to-back same-size rendezvous through a recycled grant token [gm]"
+      `Quick (fun () ->
+        (* The second grant is made after the first data message was
+           handled, so it is served by the first grant's token. Each
+           receive buffer must hold its own message, untouched by the
+           later one. *)
+        let module G = Mpi.Mpi_gm in
+        let sched, eps = gm_world () in
+        let size = 40_000 in
+        let msg i = Bytes.init size (fun j -> Char.chr ((i * 89 + j * 7) land 0xff)) in
+        let got = Array.init 3 (fun _ -> Bytes.create size) in
+        Scheduler.spawn sched (fun () ->
+            for i = 0 to 2 do
+              ignore (G.wait eps.(0) (G.isend eps.(0) ~dst:1 ~tag:i (msg i)))
+            done);
+        Scheduler.spawn sched (fun () ->
+            Array.iteri
+              (fun i buf ->
+                let st = G.wait eps.(1) (G.irecv eps.(1) ~source:0 ~tag:i buf) in
+                Alcotest.(check int) "length" size st.G.length)
+              got);
+        Scheduler.run sched;
+        Array.iteri
+          (fun i buf ->
+            Alcotest.(check bool)
+              (Printf.sprintf "message %d exact" i)
+              true
+              (Bytes.equal buf (msg i)))
+          got;
+        Alcotest.(check int) "no drops" 0
+          (Gm.stats (G.port eps.(1))).Gm.drops_no_token);
+  ]
+
 let () =
   Alcotest.run "mpi"
     [
@@ -930,4 +1035,5 @@ let () =
       ("crash", crash_tests);
       ("nx", nx_tests);
       ("contexts", context_tests);
+      ("gm-aliasing", gm_aliasing_tests);
     ]

@@ -10,7 +10,8 @@
      - uniform peer-failure surfacing on node crash: wait raises
        Peer_failed, the callback fires, failed_ranks reports, and
        restart + reconnect clears the mark;
-     - counters monotone non-decreasing over the endpoint's life.
+     - counters monotone non-decreasing over the endpoint's life;
+     - a sender may overwrite its buffer as soon as its send completes.
 
    Plus one ibverbs-specific test: the RDMA-write fast path beats the
    same stack's own rendezvous on small messages (Liu et al.'s
@@ -202,6 +203,42 @@ module Conformance (T : STACK) = struct
         Alcotest.failf "counter %s decreased: %d -> %d" k v0 v)
       !violations
 
+  (* 5. A completed send has let go of its buffer: the sender overwrites
+     it the moment wait returns, at an eager size and at a rendezvous
+     size. The receiver posts late, so the eager message completes at the
+     sender long before it is matched. Whatever image the stack put on
+     the wire, the receiver must get the original bytes. *)
+  let sender_reuse () =
+    let sizes = [ 64; 100_000 ] in
+    let got = ref [] in
+    ignore
+      (with_world (fun sched _fabric ep rank ->
+           if rank = 0 then
+             List.iteri
+               (fun i size ->
+                 let buf = payload ~seq:i ~size in
+                 ignore (T.wait ep (T.isend ep ~dst:1 ~tag:i buf));
+                 Bytes.fill buf 0 size '\xff')
+               sizes
+           else begin
+             Scheduler.delay sched (Time_ns.ms 2.0);
+             got :=
+               List.mapi
+                 (fun i size ->
+                   let buf = Bytes.create size in
+                   ignore (T.wait ep (T.irecv ep ~source:0 ~tag:i buf));
+                   buf)
+                 sizes
+           end));
+    Alcotest.(check int) "both delivered" (List.length sizes) (List.length !got);
+    List.iteri
+      (fun i (size, buf) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%d-byte message intact" size)
+          true
+          (Bytes.equal buf (payload ~seq:i ~size)))
+      (List.combine sizes !got)
+
   let tests =
     [
       inorder_qcheck;
@@ -212,6 +249,9 @@ module Conformance (T : STACK) = struct
         `Quick peer_failure;
       Alcotest.test_case (T.name ^ ": counters monotone") `Quick
         counters_monotone;
+      Alcotest.test_case
+        (T.name ^ ": sender reuses its buffer once the send completes")
+        `Quick sender_reuse;
     ]
 end
 
