@@ -6,8 +6,7 @@
    Instruments are keyed by (name, sorted labels); registering the same key
    twice returns the same instrument, so components created in loops (one
    NI per rank, one link per node) can register unconditionally. Probes are
-   polled only at snapshot time, so hot paths pay nothing for them; the
-   mutating instruments pay one branch on the shared [enabled] flag. *)
+   polled only at snapshot time, so hot paths pay nothing for them. *)
 
 type labels = (string * string) list
 
@@ -21,11 +20,10 @@ let pp_labels ppf labels =
     Format.fprintf ppf "{%s}"
       (String.concat "," (List.map (fun (k, v) -> k ^ "=" ^ v) labels))
 
-type counter = { c_enabled : bool ref; mutable c_value : int }
-type gauge = { g_enabled : bool ref; mutable g_value : float }
+type counter = { mutable c_value : int }
+type gauge = { mutable g_value : float }
 
 type summary = {
-  m_enabled : bool ref;
   mutable m_count : int;
   mutable m_total : float;
   mutable m_sum_sq : float;
@@ -34,7 +32,7 @@ type summary = {
 }
 
 type series = {
-  r_enabled : bool ref;
+  r_detail : bool ref;
   mutable r_rev_points : (float * float) list;
   mutable r_len : int;
 }
@@ -49,7 +47,6 @@ type instrument =
 type entry = { name : string; labels : labels; mutable instrument : instrument }
 
 type t = {
-  enabled : bool ref;
   (* Time-series sampling is a separate, default-off level: every sample
      allocates a point, and some series sample per message (EQ depth,
      protocol windows) — too hot to pay in scaling sweeps that never read
@@ -59,16 +56,9 @@ type t = {
   tbl : (string * labels, entry) Hashtbl.t;
 }
 
-let create ?(enabled = true) ?(detail = false) () =
-  {
-    enabled = ref enabled;
-    detail = ref detail;
-    rev_entries = [];
-    tbl = Hashtbl.create 64;
-  }
+let create ?(detail = false) () =
+  { detail = ref detail; rev_entries = []; tbl = Hashtbl.create 64 }
 
-let enabled t = !(t.enabled)
-let set_enabled t on = t.enabled := on
 let detail t = !(t.detail)
 let set_detail t on = t.detail := on
 
@@ -97,18 +87,14 @@ let mismatch name want got =
 
 let counter t ?(labels = []) name =
   match
-    (register t name labels (fun () ->
-         Counter { c_enabled = t.enabled; c_value = 0 }))
-      .instrument
+    (register t name labels (fun () -> Counter { c_value = 0 })).instrument
   with
   | Counter c -> c
   | other -> mismatch name "counter" (kind_name other)
 
 let gauge t ?(labels = []) name =
   match
-    (register t name labels (fun () ->
-         Gauge { g_enabled = t.enabled; g_value = 0. }))
-      .instrument
+    (register t name labels (fun () -> Gauge { g_value = 0. })).instrument
   with
   | Gauge g -> g
   | other -> mismatch name "gauge" (kind_name other)
@@ -122,10 +108,9 @@ let probe t ?(labels = []) name f =
   | Probe _ -> entry.instrument <- Probe f
   | other -> mismatch name "probe" (kind_name other)
 
-let new_summary enabled =
+let new_summary () =
   Summary
     {
-      m_enabled = enabled;
       m_count = 0;
       m_total = 0.;
       m_sum_sq = 0.;
@@ -134,36 +119,34 @@ let new_summary enabled =
     }
 
 let summary t ?(labels = []) name =
-  match (register t name labels (fun () -> new_summary t.enabled)).instrument with
+  match (register t name labels new_summary).instrument with
   | Summary s -> s
   | other -> mismatch name "summary" (kind_name other)
 
 let series t ?(labels = []) name =
   match
     (register t name labels (fun () ->
-         Series { r_enabled = t.detail; r_rev_points = []; r_len = 0 }))
+         Series { r_detail = t.detail; r_rev_points = []; r_len = 0 }))
       .instrument
   with
   | Series s -> s
   | other -> mismatch name "series" (kind_name other)
 
-let incr c = if !(c.c_enabled) then c.c_value <- c.c_value + 1
-let add c n = if !(c.c_enabled) then c.c_value <- c.c_value + n
+let incr c = c.c_value <- c.c_value + 1
+let add c n = c.c_value <- c.c_value + n
 let counter_value c = c.c_value
-let set g v = if !(g.g_enabled) then g.g_value <- v
+let set g v = g.g_value <- v
 let gauge_value g = g.g_value
 
 let observe m x =
-  if !(m.m_enabled) then begin
-    m.m_count <- m.m_count + 1;
-    m.m_total <- m.m_total +. x;
-    m.m_sum_sq <- m.m_sum_sq +. (x *. x);
-    if x < m.m_min then m.m_min <- x;
-    if x > m.m_max then m.m_max <- x
-  end
+  m.m_count <- m.m_count + 1;
+  m.m_total <- m.m_total +. x;
+  m.m_sum_sq <- m.m_sum_sq +. (x *. x);
+  if x < m.m_min then m.m_min <- x;
+  if x > m.m_max then m.m_max <- x
 
 let push r ~x ~y =
-  if !(r.r_enabled) then begin
+  if !(r.r_detail) then begin
     r.r_rev_points <- (x, y) :: r.r_rev_points;
     r.r_len <- r.r_len + 1
   end

@@ -7,10 +7,8 @@
     per-module statistics records.
 
     Cost model: instruments are registered once at component setup;
-    mutation costs one branch on the registry's shared enabled flag plus
-    the arithmetic; probes are closures polled only by {!snapshot}, so the
-    instrumented hot path pays nothing for them. Disabling the registry
-    ({!set_enabled}) turns every mutation into a single load-and-branch.
+    mutation is the bare arithmetic; probes are closures polled only by
+    {!snapshot}, so the instrumented hot path pays nothing for them.
 
     Registration is idempotent: asking for an instrument under an existing
     (name, labels) key returns the already-registered instrument.
@@ -24,12 +22,9 @@ type t
 type labels = (string * string) list
 (** Label sets are normalised: sorted by key, duplicate keys collapsed. *)
 
-val create : ?enabled:bool -> ?detail:bool -> unit -> t
-(** A fresh registry, enabled by default. [detail] (default [false])
-    additionally turns on time-series sampling — see {!set_detail}. *)
-
-val enabled : t -> bool
-val set_enabled : t -> bool -> unit
+val create : ?detail:bool -> unit -> t
+(** A fresh registry. [detail] (default [false]) additionally turns on
+    time-series sampling — see {!set_detail}. *)
 
 val detail : t -> bool
 

@@ -99,26 +99,24 @@ type t = {
      corruption/delay/partition faults existed. *)
   mutable fault_probes_on : bool;
   mutable partition_probe_on : bool;
-  sent : Stats.Counter.t;
-  sent_bytes : Stats.Counter.t;
-  delivered : Stats.Counter.t;
-  drop_unregistered : Stats.Counter.t;
-  drop_congested : Stats.Counter.t;
-  drop_crashed : Stats.Counter.t;
-  drop_partitioned : Stats.Counter.t;
-  corrupt_injected : Stats.Counter.t;
-  delay_injected : Stats.Counter.t;
-  dup_injected : Stats.Counter.t;
-  crash_count : Stats.Counter.t;
-  restart_count : Stats.Counter.t;
+  mutable sent : int;
+  mutable sent_bytes : int;
+  mutable delivered : int;
+  mutable drop_unregistered : int;
+  mutable drop_congested : int;
+  mutable drop_crashed : int;
+  mutable drop_partitioned : int;
+  mutable corrupt_injected : int;
+  mutable delay_injected : int;
+  mutable dup_injected : int;
+  mutable crash_count : int;
+  mutable restart_count : int;
   mutable crash_listeners : (Proc_id.nid -> unit) array;
   mutable restart_listeners : (Proc_id.nid -> unit) array;
   (* Injected drops are counted per (src, dst) pair in the registry;
-     [stats] derives the total by summing these. The common pid-0/pid-0
-     pair for each (src nid, dst nid) lives in a flat [nodes²] array;
-     pairs involving a nonzero pid fall back to the table. *)
-  drop_pairs_nid : Metrics.counter option array;
-  drop_pairs_other : (Proc_id.t * Proc_id.t, Metrics.counter) Hashtbl.t;
+     [stats] derives the total by summing these. Filled on first drop, so
+     memory follows the pairs that actually lost traffic, not nodes². *)
+  drop_pairs : (Proc_id.t * Proc_id.t, Metrics.counter) Hashtbl.t;
 }
 
 let create ?(topology = Topology.Full) ?queue_limit sched ~profile ~nodes =
@@ -150,41 +148,37 @@ let create ?(topology = Topology.Full) ?queue_limit sched ~profile ~nodes =
       par = None;
       fault_probes_on = false;
       partition_probe_on = false;
-      sent = Stats.Counter.create ~name:"fabric.sent" ();
-      sent_bytes = Stats.Counter.create ~name:"fabric.sent_bytes" ();
-      delivered = Stats.Counter.create ~name:"fabric.delivered" ();
-      drop_unregistered = Stats.Counter.create ~name:"fabric.drop_unregistered" ();
-      drop_congested = Stats.Counter.create ~name:"fabric.drop_congested" ();
-      drop_crashed = Stats.Counter.create ~name:"fabric.drop_crashed" ();
-      drop_partitioned =
-        Stats.Counter.create ~name:"fabric.drop_partitioned" ();
-      corrupt_injected = Stats.Counter.create ~name:"fabric.corrupt_injected" ();
-      delay_injected = Stats.Counter.create ~name:"fabric.delay_injected" ();
-      dup_injected = Stats.Counter.create ~name:"fabric.dup_injected" ();
-      crash_count = Stats.Counter.create ~name:"fabric.crashes" ();
-      restart_count = Stats.Counter.create ~name:"fabric.restarts" ();
+      sent = 0;
+      sent_bytes = 0;
+      delivered = 0;
+      drop_unregistered = 0;
+      drop_congested = 0;
+      drop_crashed = 0;
+      drop_partitioned = 0;
+      corrupt_injected = 0;
+      delay_injected = 0;
+      dup_injected = 0;
+      crash_count = 0;
+      restart_count = 0;
       crash_listeners = [||];
       restart_listeners = [||];
-      drop_pairs_nid = Array.make (nodes * nodes) None;
-      drop_pairs_other = Hashtbl.create 16;
+      drop_pairs = Hashtbl.create 16;
     }
   in
   let m = Scheduler.metrics sched in
   let probe name f = Metrics.probe m name (fun () -> float_of_int (f ())) in
-  probe "fabric.sent" (fun () -> Stats.Counter.value t.sent);
-  probe "fabric.sent_bytes" (fun () -> Stats.Counter.value t.sent_bytes);
-  probe "fabric.delivered" (fun () -> Stats.Counter.value t.delivered);
-  probe "fabric.drops_unregistered" (fun () ->
-      Stats.Counter.value t.drop_unregistered);
+  probe "fabric.sent" (fun () -> t.sent);
+  probe "fabric.sent_bytes" (fun () -> t.sent_bytes);
+  probe "fabric.delivered" (fun () -> t.delivered);
+  probe "fabric.drops_unregistered" (fun () -> t.drop_unregistered);
   (* Only a shared-link topology can congest; keep the seed topology's
      metric snapshot exactly as it was. *)
   if Array.length hop_links > 0 then
-    probe "fabric.drops_congested" (fun () ->
-        Stats.Counter.value t.drop_congested);
-  probe "fabric.dups_injected" (fun () -> Stats.Counter.value t.dup_injected);
-  probe "fabric.drops_crashed" (fun () -> Stats.Counter.value t.drop_crashed);
-  probe "fabric.crashes" (fun () -> Stats.Counter.value t.crash_count);
-  probe "fabric.restarts" (fun () -> Stats.Counter.value t.restart_count);
+    probe "fabric.drops_congested" (fun () -> t.drop_congested);
+  probe "fabric.dups_injected" (fun () -> t.dup_injected);
+  probe "fabric.drops_crashed" (fun () -> t.drop_crashed);
+  probe "fabric.crashes" (fun () -> t.crash_count);
+  probe "fabric.restarts" (fun () -> t.restart_count);
   t
 
 let sched t = t.fabric_sched
@@ -281,7 +275,7 @@ let on_restart t f = t.restart_listeners <- append_listener t.restart_listeners 
 let crash t nid =
   let n = node t nid in
   Node.crash n;
-  if owns t nid then Stats.Counter.incr t.crash_count;
+  if owns t nid then t.crash_count <- t.crash_count + 1;
   (* Volatile state dies with the node: its processes disappear from the
      fabric and its resident fibers are destroyed. *)
   Array.fill t.handlers.(nid) 0 (Array.length t.handlers.(nid)) None;
@@ -291,7 +285,7 @@ let crash t nid =
 let restart t nid =
   let n = node t nid in
   Node.restart n;
-  if owns t nid then Stats.Counter.incr t.restart_count;
+  if owns t nid then t.restart_count <- t.restart_count + 1;
   Array.iter (fun f -> f nid) t.restart_listeners
 
 let apply_crash_schedule t schedule =
@@ -311,10 +305,8 @@ let ensure_fault_probes t =
     t.fault_probes_on <- true;
     let m = Scheduler.metrics t.fabric_sched in
     let probe name f = Metrics.probe m name (fun () -> float_of_int (f ())) in
-    probe "fabric.corrupts_injected" (fun () ->
-        Stats.Counter.value t.corrupt_injected);
-    probe "fabric.delays_injected" (fun () ->
-        Stats.Counter.value t.delay_injected)
+    probe "fabric.corrupts_injected" (fun () -> t.corrupt_injected);
+    probe "fabric.delays_injected" (fun () -> t.delay_injected)
   end
 
 let set_fault_model t fault =
@@ -336,7 +328,7 @@ let apply_partition_schedule t schedule =
     Metrics.probe
       (Scheduler.metrics t.fabric_sched)
       "fabric.drops_partitioned"
-      (fun () -> float_of_int (Stats.Counter.value t.drop_partitioned))
+      (fun () -> float_of_int t.drop_partitioned)
   end;
   t.partitions <- t.partitions @ schedule
 
@@ -362,35 +354,25 @@ let install_shim t shim =
 
 let has_shim t = t.shim <> None
 
-let make_drop_pair_counter t ~src ~dst =
-  Metrics.counter
-    (Scheduler.metrics t.fabric_sched)
-    ~labels:[ ("src", Proc_id.to_string src); ("dst", Proc_id.to_string dst) ]
-    "fabric.drops_injected"
-
 let drop_pair_counter t ~src ~dst =
-  if src.Proc_id.pid = 0 && dst.Proc_id.pid = 0 then begin
-    let idx = (src.Proc_id.nid * Array.length t.nodes) + dst.Proc_id.nid in
-    match t.drop_pairs_nid.(idx) with
-    | Some c -> c
-    | None ->
-      let c = make_drop_pair_counter t ~src ~dst in
-      t.drop_pairs_nid.(idx) <- Some c;
-      c
-  end
-  else
-    match Hashtbl.find_opt t.drop_pairs_other (src, dst) with
-    | Some c -> c
-    | None ->
-      let c = make_drop_pair_counter t ~src ~dst in
-      Hashtbl.replace t.drop_pairs_other (src, dst) c;
-      c
+  match Hashtbl.find_opt t.drop_pairs (src, dst) with
+  | Some c -> c
+  | None ->
+    let c =
+      Metrics.counter
+        (Scheduler.metrics t.fabric_sched)
+        ~labels:
+          [ ("src", Proc_id.to_string src); ("dst", Proc_id.to_string dst) ]
+        "fabric.drops_injected"
+    in
+    Hashtbl.replace t.drop_pairs (src, dst) c;
+    c
 
 let deliver t ~src ~dst payload =
   match find_handler t dst with
-  | None -> Stats.Counter.incr t.drop_unregistered
+  | None -> t.drop_unregistered <- t.drop_unregistered + 1
   | Some handler ->
-    Stats.Counter.incr t.delivered;
+    t.delivered <- t.delivered + 1;
     handler ~src payload
 
 let arrive t ~src ~dst payload =
@@ -399,7 +381,7 @@ let arrive t ~src ~dst payload =
   | None -> deliver t ~src ~dst payload
 
 let mutate_counted t c payload =
-  Stats.Counter.incr t.corrupt_injected;
+  t.corrupt_injected <- t.corrupt_injected + 1;
   Fault.mutate c payload
 
 (* On multi-hop routes the end-to-end fault sample covers the first hop;
@@ -457,15 +439,15 @@ let land_msg t ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload =
     Node.crashes sender <> src_epoch
     || Node.crashes receiver <> dst_epoch
     || not (Node.is_up receiver)
-  then Stats.Counter.incr t.drop_crashed
-  else if cut then Stats.Counter.incr t.drop_partitioned
+  then t.drop_crashed <- t.drop_crashed + 1
+  else if cut then t.drop_partitioned <- t.drop_partitioned + 1
   else
     match decision with
     | Fault.Drop -> Metrics.incr (drop_pair_counter t ~src ~dst)
     | Fault.Deliver | Fault.Delay _ -> arrive t ~src ~dst payload
     | Fault.Corrupt c -> arrive t ~src ~dst (mutate_counted t c payload)
     | Fault.Duplicate ->
-      Stats.Counter.incr t.dup_injected;
+      t.dup_injected <- t.dup_injected + 1;
       arrive t ~src ~dst payload;
       arrive t ~src ~dst payload
 
@@ -495,7 +477,7 @@ let rec hop_step t ~src ~dst ~seq ~i ~wire_bytes ~decision ~cut ~src_epoch
     in
     let flow = (src.Proc_id.nid * Array.length t.nodes) + dst.Proc_id.nid in
     match Link.transmit t.hop_links.(path.(i)) ~flow ~bytes:wire_bytes () with
-    | `Dropped -> Stats.Counter.incr t.drop_congested
+    | `Dropped -> t.drop_congested <- t.drop_congested + 1
     | `Accepted arrival -> (
       let next_v =
         if i + 1 >= Array.length path then dst.Proc_id.nid
@@ -549,10 +531,10 @@ let send_raw t ~src ~dst payload =
   if not (Node.is_up sender) then
     (* A dead node injects nothing; late scheduled callbacks acting on its
        behalf (retransmit timers, NIC engines) are silently fenced. *)
-    Stats.Counter.incr t.drop_crashed
+    t.drop_crashed <- t.drop_crashed + 1
   else begin
-    Stats.Counter.incr t.sent;
-    Stats.Counter.add t.sent_bytes len;
+    t.sent <- t.sent + 1;
+    t.sent_bytes <- t.sent_bytes + len;
     let decision =
       match t.fault with
       | None -> Fault.Deliver
@@ -571,7 +553,7 @@ let send_raw t ~src ~dst payload =
     let delay_by, delay_reorder =
       match decision with
       | Fault.Delay { by; reorder } ->
-        Stats.Counter.incr t.delay_injected;
+        t.delay_injected <- t.delay_injected + 1;
         if not reorder then t.fifo_clamp <- true;
         (by, reorder)
       | _ -> (Time_ns.zero, false)
@@ -633,22 +615,16 @@ let send t ~src ~dst payload =
 
 let stats t =
   {
-    messages_sent = Stats.Counter.value t.sent;
-    bytes_sent = Stats.Counter.value t.sent_bytes;
-    messages_delivered = Stats.Counter.value t.delivered;
-    drops_unregistered = Stats.Counter.value t.drop_unregistered;
-    drops_congested = Stats.Counter.value t.drop_congested;
-    drops_crashed = Stats.Counter.value t.drop_crashed;
-    drops_partitioned = Stats.Counter.value t.drop_partitioned;
-    corrupts_injected = Stats.Counter.value t.corrupt_injected;
-    delays_injected = Stats.Counter.value t.delay_injected;
+    messages_sent = t.sent;
+    bytes_sent = t.sent_bytes;
+    messages_delivered = t.delivered;
+    drops_unregistered = t.drop_unregistered;
+    drops_congested = t.drop_congested;
+    drops_crashed = t.drop_crashed;
+    drops_partitioned = t.drop_partitioned;
+    corrupts_injected = t.corrupt_injected;
+    delays_injected = t.delay_injected;
     drops_injected =
-      Array.fold_left
-        (fun acc c ->
-          match c with None -> acc | Some c -> acc + Metrics.counter_value c)
-        (Hashtbl.fold
-           (fun _ c acc -> acc + Metrics.counter_value c)
-           t.drop_pairs_other 0)
-        t.drop_pairs_nid;
-    dups_injected = Stats.Counter.value t.dup_injected;
+      Hashtbl.fold (fun _ c acc -> acc + Metrics.counter_value c) t.drop_pairs 0;
+    dups_injected = t.dup_injected;
   }

@@ -560,60 +560,75 @@ let cpu_tests =
         Scheduler.run sched);
   ]
 
+(* Counter, summary and series semantics, read back the way every
+   consumer reads them: through a registry snapshot. *)
 let stats_tests =
-  let open Stats in
+  let summary_of m name =
+    match Metrics.Snapshot.find (Metrics.snapshot m) name with
+    | Some (Metrics.Snapshot.Summary { count; mean; min; max; stddev; total })
+      ->
+      (count, mean, min, max, stddev, total)
+    | _ -> Alcotest.failf "no summary %S" name
+  in
   [
     Alcotest.test_case "counter" `Quick (fun () ->
-        let c = Counter.create ~name:"drops" () in
-        Counter.incr c;
-        Counter.add c 4;
-        Alcotest.(check int) "value" 5 (Counter.value c);
-        Counter.reset c;
-        Alcotest.(check int) "reset" 0 (Counter.value c);
-        Alcotest.(check string) "name" "drops" (Counter.name c));
+        let m = Metrics.create () in
+        let c = Metrics.counter m "drops" in
+        Metrics.incr c;
+        Metrics.add c 4;
+        Alcotest.(check int) "value" 5 (Metrics.counter_value c);
+        Metrics.reset m;
+        Alcotest.(check int) "reset" 0 (Metrics.counter_value c);
+        (* The handle stays registered across a reset. *)
+        Metrics.incr c;
+        match Metrics.Snapshot.find (Metrics.snapshot m) "drops" with
+        | Some (Metrics.Snapshot.Counter n) ->
+          Alcotest.(check int) "counts after reset" 1 n
+        | _ -> Alcotest.fail "counter lost by reset");
     Alcotest.test_case "summary statistics" `Quick (fun () ->
-        let s = Summary.create () in
-        List.iter (Summary.observe s) [ 1.; 2.; 3.; 4. ];
-        Alcotest.(check int) "count" 4 (Summary.count s);
-        Alcotest.(check (float 1e-9)) "mean" 2.5 (Summary.mean s);
-        Alcotest.(check (float 1e-9)) "min" 1. (Summary.min s);
-        Alcotest.(check (float 1e-9)) "max" 4. (Summary.max s);
-        Alcotest.(check (float 1e-6)) "stddev" 1.118034 (Summary.stddev s);
-        Alcotest.(check (float 1e-9)) "total" 10. (Summary.total s));
+        let m = Metrics.create () in
+        List.iter (Metrics.observe (Metrics.summary m "s")) [ 1.; 2.; 3.; 4. ];
+        let count, mean, min, max, stddev, total = summary_of m "s" in
+        Alcotest.(check int) "count" 4 count;
+        Alcotest.(check (float 1e-9)) "mean" 2.5 mean;
+        Alcotest.(check (float 1e-9)) "min" 1. min;
+        Alcotest.(check (float 1e-9)) "max" 4. max;
+        Alcotest.(check (float 1e-6)) "stddev" 1.118034 stddev;
+        Alcotest.(check (float 1e-9)) "total" 10. total);
     Alcotest.test_case "summary of empty/singleton" `Quick (fun () ->
-        let s = Summary.create () in
-        Alcotest.(check (float 0.)) "empty mean" 0. (Summary.mean s);
-        Alcotest.(check (float 0.)) "empty sd" 0. (Summary.stddev s);
-        Summary.observe s 7.;
-        Alcotest.(check (float 0.)) "single sd" 0. (Summary.stddev s));
+        let m = Metrics.create () in
+        let obs = Metrics.summary m "s" in
+        let _, mean, _, _, stddev, _ = summary_of m "s" in
+        Alcotest.(check (float 0.)) "empty mean" 0. mean;
+        Alcotest.(check (float 0.)) "empty sd" 0. stddev;
+        Metrics.observe obs 7.;
+        let _, _, _, _, stddev, _ = summary_of m "s" in
+        Alcotest.(check (float 0.)) "single sd" 0. stddev);
     Alcotest.test_case "series keeps insertion order" `Quick (fun () ->
-        let s = Series.create ~name:"curve" () in
-        Series.push s ~x:1. ~y:10.;
-        Series.push s ~x:2. ~y:20.;
-        Alcotest.(check int) "len" 2 (Series.length s);
-        Alcotest.(check (list (pair (float 0.) (float 0.))))
-          "points"
-          [ (1., 10.); (2., 20.) ]
-          (Series.points s));
-    Alcotest.test_case "histogram buckets and quantile" `Quick (fun () ->
-        let h = Histogram.create ~buckets:[| 10.; 20.; 30. |] () in
-        List.iter (Histogram.observe h) [ 5.; 15.; 15.; 25.; 100. ];
-        Alcotest.(check int) "count" 5 (Histogram.count h);
-        (match Histogram.counts h with
-        | [ (Some 10., 1); (Some 20., 2); (Some 30., 1); (None, 1) ] -> ()
-        | other ->
-          Alcotest.failf "unexpected buckets: %d entries" (List.length other));
-        let q50 = Histogram.quantile h 0.5 in
-        Alcotest.(check bool) "median in second bucket" true
-          (q50 > 10. && q50 <= 20.));
+        let m = Metrics.create () in
+        let s = Metrics.series m "curve" in
+        Metrics.push s ~x:0. ~y:0.;
+        Alcotest.(check int) "no samples below the detail level" 0
+          (Metrics.series_length s);
+        Metrics.set_detail m true;
+        Metrics.push s ~x:1. ~y:10.;
+        Metrics.push s ~x:2. ~y:20.;
+        Alcotest.(check int) "len" 2 (Metrics.series_length s);
+        match Metrics.Snapshot.find (Metrics.snapshot m) "curve" with
+        | Some (Metrics.Snapshot.Series pts) ->
+          Alcotest.(check (list (pair (float 0.) (float 0.))))
+            "points"
+            [ (1., 10.); (2., 20.) ]
+            pts
+        | _ -> Alcotest.fail "series missing");
     QCheck_alcotest.to_alcotest
       (QCheck.Test.make ~name:"summary mean within [min,max]" ~count:300
          QCheck.(list_of_size Gen.(int_range 1 50) (float_range (-1000.) 1000.))
          (fun xs ->
-           let s = Summary.create () in
-           List.iter (Summary.observe s) xs;
-           let m = Summary.mean s in
-           m >= Summary.min s -. 1e-9 && m <= Summary.max s +. 1e-9));
+           let m = Metrics.create () in
+           List.iter (Metrics.observe (Metrics.summary m "s")) xs;
+           let _, mean, lo, hi, _, _ = summary_of m "s" in
+           mean >= lo -. 1e-9 && mean <= hi +. 1e-9));
   ]
 
 let trace_tests =
@@ -714,18 +729,6 @@ let metrics_tests =
         let c3 = Metrics.counter m ~labels:[ ("proc", "0:0") ] "requests" in
         Metrics.incr c3;
         Alcotest.(check int) "labels distinguish" 1 (Metrics.counter_value c3));
-    Alcotest.test_case "disabled registry mutates nothing" `Quick (fun () ->
-        let m = Metrics.create ~enabled:false () in
-        let c = Metrics.counter m "n" in
-        let s = Metrics.summary m "lat" in
-        Metrics.incr c;
-        Metrics.observe s 5.0;
-        Alcotest.(check int) "counter untouched" 0 (Metrics.counter_value c);
-        let snap = Metrics.snapshot m in
-        match Metrics.Snapshot.find snap "lat" with
-        | Some (Metrics.Snapshot.Summary { count; _ }) ->
-          Alcotest.(check int) "summary untouched" 0 count
-        | _ -> Alcotest.fail "summary entry missing");
     Alcotest.test_case "snapshot reads counters, gauges, probes" `Quick (fun () ->
         let m = Metrics.create () in
         let c = Metrics.counter m ~labels:[ ("proc", "0:0") ] "ni.puts" in

@@ -162,7 +162,7 @@ let fig6_tests =
       (fun () ->
         (* The figure must be readable straight out of the metrics
            snapshot: the ["fig6.wait_ms"] series per configuration is the
-           same curve as the Stats.Series-backed [points] field. *)
+           same curve as the table's [points] field. *)
         let t = Experiments.Fig6.run ~iterations:1 ~work_ms:[ 0.; 10. ] () in
         List.iter
           (fun s ->

@@ -423,8 +423,28 @@ let fabric_tests =
            && s.Fabric.bytes_sent = List.fold_left ( + ) 0 sizes));
   ]
 
+(* Words allocated by [Fabric.create] alone, per node, on a [side]² torus. *)
+let create_words_per_node side =
+  let sched = Scheduler.create () in
+  let nodes = side * side in
+  let before = Gc.allocated_bytes () in
+  let fabric =
+    Fabric.create ~topology:(Topology.Torus2d (side, side)) sched
+      ~profile:Profile.myrinet_mcp ~nodes
+  in
+  let words = (Gc.allocated_bytes () -. before) /. float_of_int (Sys.word_size / 8) in
+  ignore (Sys.opaque_identity fabric);
+  words /. float_of_int nodes
+
 let fabric_topology_tests =
   [
+    Alcotest.test_case "create allocates O(nodes), not O(nodes^2)" `Quick
+      (fun () ->
+        let small = create_words_per_node 32 and large = create_words_per_node 64 in
+        Alcotest.(check bool)
+          (Printf.sprintf "words/node %.0f at 1024 nodes, %.0f at 4096" small large)
+          true
+          (large < 1.25 *. small));
     Alcotest.test_case "explicit Full matches the seed fabric exactly" `Quick
       (fun () ->
         let arrival_on topology =
@@ -755,6 +775,10 @@ let fault_model_tests =
           Fabric.send fabric ~src:(pid 0 0) ~dst:(pid 1 0) (Bytes.create 8)
         done;
         Fabric.send fabric ~src:(pid 2 0) ~dst:(pid 1 0) (Bytes.create 8);
+        (* Pairs with a nonzero pid share the same table as pid-0 pairs. *)
+        for _ = 1 to 2 do
+          Fabric.send fabric ~src:(pid 3 1) ~dst:(pid 1 2) (Bytes.create 8)
+        done;
         Scheduler.run sched;
         let snap = Metrics.snapshot (Scheduler.metrics sched) in
         let count ~src ~dst =
@@ -768,8 +792,9 @@ let fault_model_tests =
         in
         Alcotest.(check int) "pair 0:0 -> 1:0" 3 (count ~src:"0:0" ~dst:"1:0");
         Alcotest.(check int) "pair 2:0 -> 1:0" 1 (count ~src:"2:0" ~dst:"1:0");
+        Alcotest.(check int) "pair 3:1 -> 1:2" 2 (count ~src:"3:1" ~dst:"1:2");
         (* The legacy total is derived from the labelled counters. *)
-        Alcotest.(check int) "derived total" 4
+        Alcotest.(check int) "derived total" 6
           (Fabric.stats fabric).Fabric.drops_injected);
   ]
 
