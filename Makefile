@@ -2,8 +2,8 @@
 
 # The one opam package list every CI job installs (kept here so the
 # workflow jobs cannot drift apart; see .github/workflows/ci.yml).
-CI_DEPS = dune alcotest qcheck qcheck-alcotest bechamel bechamel-notty \
-	fmt logs cmdliner ocamlformat odoc
+CI_DEPS = dune alcotest qcheck qcheck-alcotest bechamel fmt logs cmdliner \
+	ocamlformat odoc
 
 .PHONY: all build test fmt doc bench bench-json perf-gate smoke ci \
 	ci-deps baseline-refresh clean
@@ -35,18 +35,18 @@ doc:
 	fi
 
 bench:
-	dune exec bench/main.exe
+	dune exec bin/portals_repro.exe -- bench
 
 # Machine-readable performance records (see EXPERIMENTS.md).
 bench-json:
-	dune exec bench/main.exe -- --json BENCH.json
+	dune exec bin/portals_repro.exe -- bench --json BENCH.json
 
 # Fail if any experiment's events/sec regressed more than 25% against
 # the committed baseline. Refresh with `make baseline-refresh` on a
 # quiet machine; see README.
 perf-gate:
-	dune exec bench/main.exe -- \
-		--json BENCH.json --baseline bench/baseline.json --tolerance 25
+	dune exec bin/portals_repro.exe -- \
+		bench --json BENCH.json --baseline bench/baseline.json
 
 # Install exactly what CI installs (shared by every workflow job).
 ci-deps:
@@ -58,7 +58,8 @@ ci-deps:
 # not an unlucky run). Run on a quiet machine, then commit the file.
 baseline-refresh:
 	for i in 1 2 3; do \
-		dune exec bench/main.exe -- --json BENCH.$$i.json || exit 1; \
+		dune exec bin/portals_repro.exe -- bench --json BENCH.$$i.json \
+			|| exit 1; \
 	done
 	python3 scripts/merge_baselines.py \
 		BENCH.1.json BENCH.2.json BENCH.3.json > bench/baseline.json

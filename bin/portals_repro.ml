@@ -1,9 +1,11 @@
-(* Command-line driver for the reproduction: run any experiment (table or
-   figure) on demand with tweakable parameters.
+(* The reproduction's command line and its only front-end: one
+   subcommand per experiment (table or figure) with tweakable parameters,
+   plus [bench], the metered record run behind the perf gate.
 
      dune exec bin/portals_repro.exe -- --help
-     dune exec bin/portals_repro.exe -- fig6 --sizes 50000 --work 0,10,20
-     dune exec bin/portals_repro.exe -- latency --size 1024 *)
+     dune exec bin/portals_repro.exe -- fig6 --size 50000 --work 0,10,20
+     dune exec bin/portals_repro.exe -- latency --size 1024
+     dune exec bin/portals_repro.exe -- bench --json BENCH.json *)
 
 open Cmdliner
 
@@ -36,8 +38,8 @@ let floats_conv = Arg.list ~sep:',' Arg.float
 let ints_conv = Arg.list ~sep:',' Arg.int
 
 (* Comma-separated name lists ("--transports gm,ibverbs") validated
-   against a closed set through the shared Runtime.Cli plumbing, so this
-   CLI and bench/main reject a malformed list with the same message. *)
+   against a closed set through Runtime.Cli, so a malformed list is a
+   clean usage error naming the valid set. *)
 let names_conv ~what ~valid =
   let parse s =
     match Runtime.Cli.pick_list ~what ~valid s with
@@ -223,25 +225,54 @@ let trace_out_arg =
           "Enable structured tracing and write the spans to FILE as Chrome \
            trace_event JSON (open in chrome://tracing or Perfetto).")
 
-let write_file path contents =
-  let oc = open_out path in
-  output_string oc contents;
-  close_out oc
+(* Every file this CLI writes goes through here: a path that cannot be
+   written is a clean error and exit 1, never an uncaught exception. *)
+let write_or_exit ~what path write =
+  match write path with
+  | () -> ()
+  | exception Sys_error msg ->
+    Format.eprintf "portals_repro: cannot write %s: %s@." what msg;
+    exit 1
 
-let emit_observability ~metrics ~trace_out ~snapshot ~traces =
-  (match metrics with
+(* [--json OUT]: where a command writes its portals-bench/1 records.
+   [metered] names what the command meters into them. *)
+let json_arg ~metered =
+  Arg.(
+    value
+    & opt (some string) None
+    & info [ "json" ] ~docv:"OUT"
+        ~doc:
+          ("Write the portals-bench/1 records of " ^ metered ^ " to $(docv)."))
+
+let write_records ~cmd path records =
+  write_or_exit ~what:"records" path (fun path ->
+      Experiments.Perf.write_json ~path records);
+  Format.fprintf ppf "%s: wrote %s@." cmd path
+
+(* A command body's [Failure] (a failed self-check or invariant) is a
+   clean error message, not an uncaught exception. *)
+let failure_is_error f =
+  match f () with () -> `Ok () | exception Failure msg -> `Error (false, msg)
+
+let run_seed_arg =
+  Arg.(value & opt int 0 & info [ "run-seed" ] ~doc:"World PRNG seed")
+
+let print_metrics metrics snapshot =
+  match metrics with
   | None -> ()
   | Some format ->
     Sim_engine.Report.print ~format ppf snapshot;
-    Format.pp_print_flush ppf ());
+    Format.pp_print_flush ppf ()
+
+let emit_observability ~metrics ~trace_out ~snapshot ~traces =
+  print_metrics metrics snapshot;
   match trace_out with
   | None -> ()
-  | Some path -> (
-    match write_file path (Sim_engine.Trace.Chrome.to_string traces) with
-    | () -> Format.fprintf ppf "trace written to %s@." path
-    | exception Sys_error msg ->
-      Format.eprintf "portals_repro: cannot write trace: %s@." msg;
-      exit 1)
+  | Some path ->
+    write_or_exit ~what:"trace" path (fun path ->
+        Out_channel.with_open_text path (fun oc ->
+            output_string oc (Sim_engine.Trace.Chrome.to_string traces)));
+    Format.fprintf ppf "trace written to %s@." path
 
 (* --- commands ----------------------------------------------------------- *)
 
@@ -346,18 +377,15 @@ let fig5_cmd =
       const run $ env_term $ backend $ transport $ size $ batch $ work $ tests
       $ metrics_arg $ trace_out_arg)
 
-let run_fig6 ?message_size ?work_ms ?iterations ~metrics ~trace_out () =
-  let t =
-    Experiments.Fig6.run ?message_size ?work_ms ?iterations
-      ~capture_trace:(trace_out <> None) ()
-  in
-  Experiments.Fig6.pp ppf t;
-  emit_observability ~metrics ~trace_out ~snapshot:t.Experiments.Fig6.metrics
-    ~traces:t.Experiments.Fig6.traces
-
 let fig6_cmd =
-  let run () size work_ms iterations metrics trace_out =
-    run_fig6 ~message_size:size ~work_ms ~iterations ~metrics ~trace_out ()
+  let run () message_size work_ms iterations metrics trace_out =
+    let t =
+      Experiments.Fig6.run ~message_size ~work_ms ~iterations
+        ~capture_trace:(trace_out <> None) ()
+    in
+    Experiments.Fig6.pp ppf t;
+    emit_observability ~metrics ~trace_out ~snapshot:t.Experiments.Fig6.metrics
+      ~traces:t.Experiments.Fig6.traces
   in
   let size = Arg.(value & opt int 50_000 & info [ "size" ] ~doc:"Message size") in
   let work =
@@ -409,21 +437,12 @@ let ablation_cmd =
   Cmd.v (Cmd.info "ablation" ~doc:"Design-choice ablations (A2)")
     Term.(const run $ env_term)
 
-let run_rel_loss_sweep ?losses ?seeds ?msgs ?size ~metrics () =
-  let registry = Sim_engine.Metrics.create () in
-  let rows =
-    Experiments.Rel_loss_sweep.run ?losses ?seeds ?msgs ?size ~registry ()
-  in
-  Experiments.Rel_loss_sweep.pp ppf rows;
-  match metrics with
-  | None -> ()
-  | Some format ->
-    Sim_engine.Report.print ~format ppf (Sim_engine.Metrics.snapshot registry);
-    Format.pp_print_flush ppf ()
-
 let rel_loss_sweep_cmd =
   let run () losses seeds msgs size metrics =
-    run_rel_loss_sweep ~losses ~seeds ~msgs ~size ~metrics ()
+    let registry = Sim_engine.Metrics.create () in
+    Experiments.Rel_loss_sweep.pp ppf
+      (Experiments.Rel_loss_sweep.run ~losses ~seeds ~msgs ~size ~registry ());
+    print_metrics metrics (Sim_engine.Metrics.snapshot registry)
   in
   let losses =
     Arg.(value & opt floats_conv Experiments.Rel_loss_sweep.default_losses
@@ -485,34 +504,22 @@ let crash_restart_cmd =
          & opt float (Sim_engine.Time_ns.to_us d.Experiments.Crash_restart.horizon)
          & info [ "horizon" ] ~doc:"Simulation horizon, us")
   in
-  let seed =
-    Arg.(value & opt int 0 & info [ "run-seed" ] ~doc:"World PRNG seed")
-  in
   Cmd.v
     (Cmd.info "crash-restart"
        ~doc:
          "Mid-run node crash + restart: recovery time and messages lost, \
           Portals vs GM (C1)")
-    Term.(const run $ env_term $ msgs $ size $ down_at $ up_at $ horizon $ seed)
-
-let run_congestion ?nodes ?topologies ?msgs_per_peer ?size ?queue_limit ?seed
-    ~metrics () =
-  let registry = Sim_engine.Metrics.create () in
-  let rows =
-    Experiments.Congestion.run ?nodes ?topologies ?msgs_per_peer ?size
-      ?queue_limit ?seed ~registry ()
-  in
-  Experiments.Congestion.pp ppf rows;
-  match metrics with
-  | None -> ()
-  | Some format ->
-    Sim_engine.Report.print ~format ppf (Sim_engine.Metrics.snapshot registry);
-    Format.pp_print_flush ppf ()
+    Term.(
+      const run $ env_term $ msgs $ size $ down_at $ up_at $ horizon
+      $ run_seed_arg)
 
 let congestion_cmd =
-  let run () nodes topologies msgs size queue_limit seed metrics =
-    run_congestion ~nodes ~topologies ~msgs_per_peer:msgs ~size ?queue_limit
-      ~seed ~metrics ()
+  let run () nodes topologies msgs_per_peer size queue_limit seed metrics =
+    let registry = Sim_engine.Metrics.create () in
+    Experiments.Congestion.pp ppf
+      (Experiments.Congestion.run ~nodes ~topologies ~msgs_per_peer ~size
+         ?queue_limit ~seed ~registry ());
+    print_metrics metrics (Sim_engine.Metrics.snapshot registry)
   in
   let nodes =
     Arg.(value & opt int 16 & info [ "nodes" ] ~doc:"Nodes per world")
@@ -536,9 +543,6 @@ let congestion_cmd =
       & opt (some int) None
       & info [ "limit" ] ~doc:"Hop-link queue limit (congestion drops beyond it)")
   in
-  let seed =
-    Arg.(value & opt int 0 & info [ "run-seed" ] ~doc:"World PRNG seed")
-  in
   Cmd.v
     (Cmd.info "congestion"
        ~doc:
@@ -546,25 +550,20 @@ let congestion_cmd =
           topologies (N1)")
     Term.(
       const run $ env_term $ nodes $ topologies $ msgs $ size $ queue_limit
-      $ seed $ metrics_arg)
+      $ run_seed_arg $ metrics_arg)
 
-let run_matrix ?(transports = Experiments.Matrix.transport_names)
-    ?(axes = Experiments.Matrix.axis_names) ?(quick = false) ?(seed = 0)
-    ?json () =
-  let t = Experiments.Matrix.run ~transports ~axes ~quick ~seed () in
-  Experiments.Matrix.pp ppf t;
-  match json with
-  | None -> ()
-  | Some out ->
-    let records =
-      Experiments.Matrix.perf_records ~transports ~axes ~quick ~seed ()
-    in
-    Experiments.Perf.write_json ~path:out records;
-    Format.fprintf ppf "matrix: wrote %s@." out
+let quick_arg =
+  Arg.(value & flag & info [ "quick" ] ~doc:"Smoke-test sized workloads.")
 
 let matrix_cmd =
   let run () transports axes quick seed json =
-    run_matrix ~transports ~axes ~quick ~seed ?json ()
+    Experiments.Matrix.pp ppf
+      (Experiments.Matrix.run ~transports ~axes ~quick ~seed ());
+    Option.iter
+      (fun out ->
+        write_records ~cmd:"matrix" out
+          (Experiments.Matrix.perf_records ~transports ~axes ~quick ~seed ()))
+      json
   in
   let transports =
     Arg.(
@@ -588,43 +587,25 @@ let matrix_cmd =
              $(b,overlap), $(b,loss-goodput), $(b,congestion-goodput); \
              $(b,all) for every axis).")
   in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Smoke-test sized workloads.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "run-seed" ] ~doc:"World PRNG seed")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"OUT"
-          ~doc:
-            "Also meter every cell as a portals-bench/1 record \
-             (id $(b,MX.<transport>.<axis>)) and write the report to \
-             $(docv) — the file the CI perf gate consumes.")
-  in
   Cmd.v
     (Cmd.info "matrix"
        ~doc:
          "Cross-stack benchmark matrix: every transport x \
           {latency, bandwidth, overlap, loss-goodput, congestion-goodput} \
           (MX)")
-    Term.(const run $ env_term $ transports $ axes $ quick $ seed $ json)
-
-let run_rma ?(workloads = Experiments.Rma.workload_names) ?(quick = false)
-    ?(seed = 0) ?json () =
-  let t = Experiments.Rma.run ~workloads ~quick ~seed () in
-  Experiments.Rma.pp ppf t;
-  match json with
-  | None -> ()
-  | Some out ->
-    let records = Experiments.Rma.perf_records ~workloads ~quick ~seed () in
-    Experiments.Perf.write_json ~path:out records;
-    Format.fprintf ppf "rma: wrote %s@." out
+    Term.(
+      const run $ env_term $ transports $ axes $ quick_arg $ run_seed_arg
+      $ json_arg ~metered:"every cell (id $(b,MX.<transport>.<axis>))")
 
 let rma_cmd =
-  let run () workloads quick seed json = run_rma ~workloads ~quick ~seed ?json () in
+  let run () workloads quick seed json =
+    Experiments.Rma.pp ppf (Experiments.Rma.run ~workloads ~quick ~seed ());
+    Option.iter
+      (fun out ->
+        write_records ~cmd:"rma" out
+          (Experiments.Rma.perf_records ~workloads ~quick ~seed ()))
+      json
+  in
   let workloads =
     Arg.(
       value
@@ -636,48 +617,29 @@ let rma_cmd =
             "Comma-separated workloads to run ($(b,latency), $(b,passive), \
              $(b,halo), $(b,hashtable); $(b,all) for every workload).")
   in
-  let quick =
-    Arg.(value & flag & info [ "quick" ] ~doc:"Smoke-test sized workloads.")
-  in
-  let seed =
-    Arg.(value & opt int 0 & info [ "run-seed" ] ~doc:"World PRNG seed")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"OUT"
-          ~doc:
-            "Also meter every workload as a portals-bench/1 record \
-             (id $(b,RMA.<workload>)) and write the report to $(docv) — \
-             the file the CI perf gate consumes.")
-  in
   Cmd.v
     (Cmd.info "rma"
        ~doc:
          "One-sided RMA: window put/atomic latency, passive-target \
           progress, RMA vs send/recv halo, CAS hash table (RMA)")
-    Term.(const run $ env_term $ workloads $ quick $ seed $ json)
-
-let run_chaos ?(quick = false) ?(seed = 0) ?json () =
-  let t = Experiments.Chaos.run ~quick ~seed () in
-  Experiments.Chaos.pp ppf t;
-  (match json with
-  | None -> ()
-  | Some out ->
-    let records = Experiments.Chaos.perf_records ~quick ~seed () in
-    Experiments.Perf.write_json ~path:out records;
-    Format.fprintf ppf "chaos: wrote %s@." out);
-  if not (Experiments.Chaos.zero_violations t) then
-    failwith
-      (Printf.sprintf "chaos: %d invariant violations"
-         (Experiments.Chaos.total_violations t))
+    Term.(
+      const run $ env_term $ workloads $ quick_arg $ run_seed_arg
+      $ json_arg ~metered:"every workload (id $(b,RMA.<workload>))")
 
 let chaos_cmd =
   let run () quick seed json =
-    match run_chaos ~quick ~seed ?json () with
-    | () -> `Ok ()
-    | exception Failure msg -> `Error (false, msg)
+    failure_is_error @@ fun () ->
+    let t = Experiments.Chaos.run ~quick ~seed () in
+    Experiments.Chaos.pp ppf t;
+    Option.iter
+      (fun out ->
+        write_records ~cmd:"chaos" out
+          (Experiments.Chaos.perf_records ~quick ~seed ()))
+      json;
+    if not (Experiments.Chaos.zero_violations t) then
+      failwith
+        (Printf.sprintf "chaos: %d invariant violations"
+           (Experiments.Chaos.total_violations t))
   in
   let quick =
     Arg.(
@@ -687,18 +649,6 @@ let chaos_cmd =
             "One cell per fault axis plus a mixed cell, instead of the \
              full corruption x delay x partition x crash x loss grid.")
   in
-  let seed =
-    Arg.(value & opt int 0 & info [ "run-seed" ] ~doc:"Campaign PRNG seed")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"OUT"
-          ~doc:
-            "Also meter each fault axis as a portals-bench/1 record \
-             (id $(b,CH.<axis>)) and write the report to $(docv).")
-  in
   Cmd.v
     (Cmd.info "chaos"
        ~doc:
@@ -706,9 +656,12 @@ let chaos_cmd =
           partition x crash x loss cells, asserting exactly-once \
           delivery, byte integrity, RMA linearizability and \
           partition-aware liveness (exit 1 on any violation)")
-    Term.(ret (const run $ env_term $ quick $ seed $ json))
+    Term.(
+      ret
+        (const run $ env_term $ quick $ run_seed_arg
+        $ json_arg ~metered:"each fault axis (id $(b,CH.<axis>))"))
 
-let run_par ?(nodes = 256) ?(steps = 8) ?(check = false) ?(seed = 0) ?json () =
+let run_par ~nodes ~steps ~check ~seed ?json ?min_speedup () =
   (if check then begin
      (* --check always compares against a genuinely parallel run, even
         when the session default is sequential. *)
@@ -735,19 +688,29 @@ let run_par ?(nodes = 256) ?(steps = 8) ?(check = false) ?(seed = 0) ?json () =
    end);
   match json with
   | None -> ()
-  | Some out ->
+  | Some out -> (
     let records = Experiments.Par.perf_records ~seed () in
-    Experiments.Perf.write_json ~path:out records;
-    (match Experiments.Par.speedup records with
-    | Some s -> Format.fprintf ppf "par: par4/seq events/sec ratio %.2fx@." s
-    | None -> ());
-    Format.fprintf ppf "par: wrote %s@." out
+    write_records ~cmd:"par" out records;
+    (* The multicore lane's gate; meaningless on a single hardware core,
+       where the window barrier only adds overhead. *)
+    let speedup = Experiments.Par.speedup records in
+    Option.iter (Format.fprintf ppf "par: par4/seq events/sec ratio %.2fx@.")
+      speedup;
+    match min_speedup with
+    | Some floor when Option.value speedup ~default:0. < floor ->
+      Format.eprintf
+        "portals_repro: par: parallel speedup below the %.2fx floor \
+         (PAR.par4 vs PAR.seq)@."
+        floor;
+      exit 1
+    | _ -> ())
 
 let par_cmd =
-  let run () nodes steps check seed json =
-    match run_par ~nodes ~steps ~check ~seed ?json () with
-    | () -> `Ok ()
-    | exception Failure msg -> `Error (false, msg)
+  let run () nodes steps check seed json min_speedup =
+    if min_speedup <> None && json = None then
+      `Error (true, "--min-speedup needs --json")
+    else
+      failure_is_error (run_par ~nodes ~steps ~check ~seed ?json ?min_speedup)
   in
   let nodes =
     Arg.(
@@ -772,19 +735,15 @@ let par_cmd =
              session's domain count (4 when sequential) and fail unless \
              the canonical lines agree byte-for-byte.")
   in
-  let seed =
-    Arg.(value & opt int 0 & info [ "run-seed" ] ~doc:"World PRNG seed")
-  in
-  let json =
+  let min_speedup =
     Arg.(
       value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"OUT"
+      & opt (some float) None
+      & info [ "min-speedup" ] ~docv:"X"
           ~doc:
-            "Also meter the workload sequentially and at 4 domains as \
-             portals-bench/1 records ($(b,PAR.seq), $(b,PAR.par4)) and \
-             write them to $(docv) — the records the multicore speedup \
-             gate consumes.")
+            "With $(b,--json): fail unless $(b,PAR.par4) events/sec is at \
+             least $(docv) times $(b,PAR.seq) (the multicore CI lane gates \
+             X=2; meaningless on one core).")
   in
   Cmd.v
     (Cmd.info "par"
@@ -792,10 +751,16 @@ let par_cmd =
          "Parallel engine: halo exchange on a 2-D torus sharded across \
           OCaml domains, with an order-insensitive delivery digest that \
           must match the sequential reference bit-for-bit")
-    Term.(ret (const run $ env_term $ nodes $ steps $ check $ seed $ json))
+    Term.(
+      ret
+        (const run $ env_term $ nodes $ steps $ check $ run_seed_arg
+        $ json_arg
+            ~metered:
+              "the workload run sequentially and at 4 domains ($(b,PAR.seq), \
+               $(b,PAR.par4))"
+        $ min_speedup))
 
-let run_coll ?(quick = false) ?(check = false) ?(iters = 8) ?(seed = 0) ?json
-    () =
+let run_coll ~quick ~check ~iters ~seed ?json () =
   if check then begin
     if Experiments.Coll.check ~seed () then
       Format.fprintf ppf "coll: host and nic agree (torus2d:4x4)@."
@@ -805,18 +770,15 @@ let run_coll ?(quick = false) ?(check = false) ?(iters = 8) ?(seed = 0) ?json
     let t = Experiments.Coll.run ~iters ~quick ~seed () in
     Experiments.Coll.pp ppf t
   end;
-  match json with
-  | None -> ()
-  | Some out ->
-    let records = Experiments.Coll.perf_records ~quick ~seed () in
-    Experiments.Perf.write_json ~path:out records;
-    Format.fprintf ppf "coll: wrote %s@." out
+  Option.iter
+    (fun out ->
+      write_records ~cmd:"coll" out
+        (Experiments.Coll.perf_records ~quick ~seed ()))
+    json
 
 let coll_cmd =
   let run () quick check iters seed json =
-    match run_coll ~quick ~check ~iters ~seed ?json () with
-    | () -> `Ok ()
-    | exception Failure msg -> `Error (false, msg)
+    failure_is_error (run_coll ~quick ~check ~iters ~seed ?json)
   in
   let quick =
     Arg.(
@@ -837,27 +799,76 @@ let coll_cmd =
       value & opt int 8
       & info [ "iters" ] ~docv:"N" ~doc:"Averaged calls per cell.")
   in
-  let seed =
-    Arg.(value & opt int 0 & info [ "run-seed" ] ~doc:"World PRNG seed")
-  in
-  let json =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "json" ] ~docv:"OUT"
-          ~doc:
-            "Also meter busy-host barrier/allreduce under each engine as \
-             portals-bench/1 records (id $(b,COLL.<engine>.<op>)) and \
-             write the report to $(docv) — gated against \
-             bench/baseline.json by the CI perf gate.")
-  in
   Cmd.v
     (Cmd.info "coll"
        ~doc:
          "NIC-offloaded vs host-driven collectives: barrier/bcast/allreduce \
           latency across topologies and node counts, host CPUs idle vs \
           busy (COLL)")
-    Term.(ret (const run $ env_term $ quick $ check $ iters $ seed $ json))
+    Term.(
+      ret
+        (const run $ env_term $ quick $ check $ iters $ run_seed_arg
+        $ json_arg
+            ~metered:
+              "busy-host barrier/allreduce under each engine (id \
+               $(b,COLL.<engine>.<op>))"))
+
+(* The baseline gate's allowed events/sec drop, in percent. *)
+let baseline_tolerance_pct = 25.
+
+let bench_cmd =
+  let run () quick json baseline =
+    failure_is_error @@ fun () ->
+    let records =
+      Experiments.Perf.all ~quick ()
+      @ Experiments.Matrix.perf_records ~quick ()
+      @ Experiments.Rma.perf_records ~quick ()
+      @ Experiments.Chaos.perf_records ~quick:true ()
+      @ Experiments.Par.perf_records ~quick ()
+      @ Experiments.Coll.perf_records ~quick ()
+    in
+    Experiments.Perf.pp ppf records;
+    Option.iter (fun out -> write_records ~cmd:"bench" out records) json;
+    match baseline with
+    | None -> ()
+    | Some path -> (
+      match Experiments.Perf.read_json ~path with
+      | Error msg ->
+        Format.eprintf "portals_repro: cannot read baseline %s: %s@." path msg;
+        exit 2
+      | Ok baseline -> (
+        match
+          Experiments.Perf.compare_baseline ~baseline ~current:records
+            ~tolerance_pct:baseline_tolerance_pct
+        with
+        | [] ->
+          Format.fprintf ppf "bench: baseline gate passed (tolerance %.0f%%)@."
+            baseline_tolerance_pct
+        | regressions ->
+          Experiments.Perf.pp_regressions Format.err_formatter regressions;
+          exit 1))
+  in
+  let baseline =
+    Arg.(
+      value
+      & opt (some string) None
+      & info [ "baseline" ] ~docv:"FILE"
+          ~doc:
+            "Compare against the records in $(docv) and exit 1 if any id's \
+             events/sec fell more than 25% (exit 2 if $(docv) cannot be \
+             read).")
+  in
+  Cmd.v
+    (Cmd.info "bench"
+       ~doc:
+         "Meter every experiment and workload family as portals-bench/1 \
+          records (see EXPERIMENTS.md) and optionally gate them against a \
+          baseline")
+    Term.(
+      ret
+        (const run $ env_term $ quick_arg
+        $ json_arg ~metered:"the whole run"
+        $ baseline))
 
 let all_cmd =
   let run () =
@@ -876,86 +887,11 @@ let all_cmd =
     Experiments.Rel_loss_sweep.pp ppf (Experiments.Rel_loss_sweep.run ());
     Experiments.Crash_restart.pp ppf (Experiments.Crash_restart.run ());
     Experiments.Congestion.pp ppf (Experiments.Congestion.run ());
-    Experiments.Rma.pp ppf (Experiments.Rma.run ())
+    Experiments.Rma.pp ppf (Experiments.Rma.run ());
+    Experiments.Coll.pp ppf (Experiments.Coll.run ~quick:true ())
   in
   Cmd.v (Cmd.info "all" ~doc:"Regenerate every table and figure")
     Term.(const run $ env_term)
-
-(* Flag-style entry point: [--experiment NAME --metrics[=json] --trace-out F]
-   without naming a subcommand. *)
-let default_term =
-  let experiment =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "experiment" ] ~docv:"NAME"
-          ~doc:
-            "Run experiment $(docv) with default parameters (equivalent to \
-             the $(docv) subcommand). $(b,--metrics) and $(b,--trace-out) \
-             apply to fig5, fig6 and rel_loss_sweep.")
-  in
-  let run () experiment metrics trace_out =
-    let plain name f =
-      if metrics <> None || trace_out <> None then
-        `Error
-          ( false,
-            Printf.sprintf
-              "--metrics/--trace-out are only supported with --experiment \
-               fig5|fig6 (got %s)"
-              name )
-      else begin
-        f ();
-        `Ok ()
-      end
-    in
-    match experiment with
-    | None -> `Help (`Pager, None)
-    | Some "fig6" ->
-      run_fig6 ~metrics ~trace_out ();
-      `Ok ()
-    | Some "fig5" ->
-      let r =
-        Experiments.Fig5.run
-          ~capture_trace:(trace_out <> None)
-          Experiments.Fig5.default_params
-      in
-      Format.fprintf ppf "fig5: mean wait %.3f ms (max %.3f)@."
-        (r.Experiments.Fig5.mean_wait /. 1000.)
-        (r.Experiments.Fig5.max_wait /. 1000.);
-      emit_observability ~metrics ~trace_out ~snapshot:r.Experiments.Fig5.metrics
-        ~traces:[ ("portals", r.Experiments.Fig5.spans) ];
-      `Ok ()
-    | Some ("tables" as n) ->
-      plain n (fun () -> Experiments.Tables.pp ppf (Experiments.Tables.run ()))
-    | Some ("latency" as n) ->
-      plain n (fun () -> Experiments.Latency.pp ppf (Experiments.Latency.run ()))
-    | Some ("bandwidth" as n) ->
-      plain n (fun () ->
-          Experiments.Bandwidth.pp ppf (Experiments.Bandwidth.run ()))
-    | Some ("drops" as n) ->
-      plain n (fun () -> Experiments.Drops.pp ppf (Experiments.Drops.run ()))
-    | Some ("translation" as n) ->
-      plain n (fun () ->
-          Experiments.Translation.pp ppf (Experiments.Translation.run ()))
-    | Some ("rel_loss_sweep" | "rel-loss-sweep") when trace_out = None ->
-      run_rel_loss_sweep ~metrics ();
-      `Ok ()
-    | Some (("crash_restart" | "crash-restart") as n) ->
-      plain n (fun () ->
-          Experiments.Crash_restart.pp ppf (Experiments.Crash_restart.run ()))
-    | Some "congestion" when trace_out = None ->
-      run_congestion ~metrics ();
-      `Ok ()
-    | Some ("matrix" as n) -> plain n (fun () -> run_matrix ())
-    | Some ("rma" as n) -> plain n (fun () -> run_rma ())
-    | Some ("chaos" as n) -> plain n (fun () -> run_chaos ~quick:true ())
-    | Some other ->
-      `Error
-        ( false,
-          Printf.sprintf
-            "unknown experiment %S (try a subcommand; see --help)" other )
-  in
-  Term.(ret (const run $ env_term $ experiment $ metrics_arg $ trace_out_arg))
 
 let () =
   let doc = "Reproduction harness for Portals 3.0 (IPPS 2002)" in
@@ -967,13 +903,15 @@ let () =
   exit
     (try
        Cmd.eval ~catch:false
-         (Cmd.group ~default:default_term info
+         (Cmd.group
+            ~default:Term.(ret (const (`Help (`Pager, None))))
+            info
             [
               tables_cmd; protocols_cmd; translation_cmd; latency_cmd;
               bandwidth_cmd; fig5_cmd; fig6_cmd; memory_cmd; collectives_cmd;
               drops_cmd; ablation_cmd; rel_loss_sweep_cmd; crash_restart_cmd;
               congestion_cmd; matrix_cmd; rma_cmd; chaos_cmd; par_cmd;
-              coll_cmd; all_cmd;
+              coll_cmd; bench_cmd; all_cmd;
             ])
      with Invalid_argument msg ->
        Format.eprintf "portals_repro: %s@." msg;

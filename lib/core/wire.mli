@@ -241,7 +241,7 @@ val field_inventory : op -> (string * string) list
 (** The (field, description) rows of the paper's corresponding table —
     what this implementation actually places on the wire. Tables 1–4 for
     the paper's four operations; the atomic request/reply inventories
-    extend the set in the paper's format. Used by the bench harness to
+    extend the set in the paper's format. Used by the [tables] experiment to
     regenerate the tables. *)
 
 val pp : Format.formatter -> t -> unit

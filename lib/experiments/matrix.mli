@@ -56,5 +56,5 @@ val perf_records :
   unit ->
   Perf.record list
 (** Meter every selected cell as a {!Perf.record} (portals-bench/1), id
-    {!record_id} — what the bench harness appends to its report and the
+    {!record_id} — what [portals_repro bench] appends to its records and the
     CI gate compares against [bench/baseline.json]. *)

@@ -1,4 +1,4 @@
-(** Machine-readable performance records for the bench harness.
+(** Machine-readable performance records for [portals_repro bench].
 
     One {!record} per experiment id (T1–T4 wire tables, F1–F6 figures,
     L1 latency, B1 bandwidth, S1–S3 scaling, A1/A2 accounting and

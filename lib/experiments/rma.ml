@@ -13,7 +13,7 @@ open Sim_engine
      hashtable  a distributed hash table built on CAS-insert linear
                 probing and a fetch_add occupancy counter
 
-   Every workload is deterministic for a fixed seed; the bench harness
+   Every workload is deterministic for a fixed seed; [portals_repro bench]
    meters each as an RMA.<workload> portals-bench/1 record. *)
 
 type row = {
@@ -26,7 +26,7 @@ type row = {
 
 type t = { rows : row list }
 
-let workload_names = Runtime.Cli.rma_workload_names
+let workload_names = [ "latency"; "passive"; "halo"; "hashtable" ]
 
 (* --- workload parameters (full / --quick) ------------------------------ *)
 

@@ -32,7 +32,8 @@ type row = {
 type t = { rows : row list }
 
 val workload_names : string list
-(** = {!Runtime.Cli.rma_workload_names}. *)
+(** [latency], [passive], [halo], [hashtable]: the closed set
+    [--workloads] accepts. *)
 
 val run : ?workloads:string list -> ?quick:bool -> ?seed:int -> unit -> t
 (** Run the selected workloads (default all). Raises [Invalid_argument]

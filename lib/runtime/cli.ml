@@ -1,7 +1,6 @@
-(* Shared CLI plumbing for the two front-ends (bin/portals_repro and
-   bench/main): one implementation of name-list parsing and validation,
-   so "--transports gm,bogus" dies with the same clean usage error on
-   both, and one table of wire-placement names. *)
+(* CLI plumbing for bin/portals_repro: name-list parsing and
+   validation, so "--transports gm,bogus" dies with a clean usage error,
+   and the table of wire-placement names. *)
 
 let split_csv s =
   String.split_on_char ',' s
@@ -22,11 +21,6 @@ let transport_kind_of_string s =
   | None ->
     Error
       (Printf.sprintf "unknown transport %S (valid: offload|kernel|rtscts)" s)
-
-(* The one-sided RMA workload names (Experiments.Rma); the canonical
-   list lives here so both CLIs validate "--workloads" against the same
-   closed set. *)
-let rma_workload_names = [ "latency"; "passive"; "halo"; "hashtable" ]
 
 (* Validate one name against a closed set, with the set spelled out in
    the error — what a usage error should look like. *)
@@ -55,7 +49,3 @@ let pick_list ~what ~valid s =
     (match split_csv s with
     | [] -> Error (Printf.sprintf "empty %s list" what)
     | xs -> go [] xs)
-
-(* The collective-engine names both CLIs accept for "--collectives";
-   resolved by Collectives.impl_of_string downstream. *)
-let collectives_impl_names = [ "host"; "nic" ]

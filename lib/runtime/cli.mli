@@ -1,22 +1,11 @@
-(** Shared CLI plumbing for the front-ends ([bin/portals_repro],
-    [bench/main]): name-list parsing and validation implemented once, so
-    a malformed [--transports] or [--axes] list produces the same clean
-    usage error from either binary. *)
-
-val split_csv : string -> string list
-(** Split on [','], trim, drop empties. *)
-
-val transport_kinds : (string * World.transport_kind) list
-(** The wire-placement names both CLIs accept for [--transport]
-    ([offload]/[mcp], [kernel], [rtscts]). *)
+(** CLI plumbing for the [bin/portals_repro] front-end: closed-set name
+    validation and comma-separated name lists, so a malformed
+    [--transports] or [--axes] list dies with a clean usage error. *)
 
 val transport_kind_of_string :
   string -> (World.transport_kind, string) result
-
-val rma_workload_names : string list
-(** The one-sided RMA workloads ([latency], [passive], [halo],
-    [hashtable]) both CLIs accept for [--workloads]; the canonical list
-    behind [Experiments.Rma]. *)
+(** The wire-placement names [--transport] accepts ([offload]/[mcp],
+    [kernel], [rtscts]). *)
 
 val pick : what:string -> valid:string list -> string -> (string, string) result
 (** Validate one name against a closed set; the error spells the set
@@ -27,7 +16,3 @@ val pick_list :
 (** Parse a comma-separated name list: each element validated with
     {!pick}, duplicates dropped (first wins), order preserved. [""] and
     ["all"] select the full set in [valid]'s order. *)
-
-val collectives_impl_names : string list
-(** The collective-engine names ([host], [nic]) both CLIs accept for
-    [--collectives]. *)

@@ -2,17 +2,18 @@
    for end-to-end frame protection. Plain table-driven byte-at-a-time:
    the simulator checksums a few KiB per message, not line rate. *)
 
+(* Built eagerly at module initialisation: shards on other domains
+   checksum concurrently, and forcing one [lazy] from two domains at
+   once raises [CamlinternalLazy.Undefined]. *)
 let table =
-  lazy
-    (Array.init 256 (fun n ->
-         let c = ref n in
-         for _ = 0 to 7 do
-           c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
-         done;
-         !c))
+  Array.init 256 (fun n ->
+      let c = ref n in
+      for _ = 0 to 7 do
+        c := if !c land 1 = 1 then 0x82F63B78 lxor (!c lsr 1) else !c lsr 1
+      done;
+      !c)
 
 let update crc buf ~pos ~len =
-  let table = Lazy.force table in
   let crc = ref (crc lxor 0xFFFFFFFF) in
   for i = pos to pos + len - 1 do
     crc :=

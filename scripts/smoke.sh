@@ -10,12 +10,12 @@ mkdir -p "$OUT"
 
 echo "== smoke: fig6 metrics + trace =="
 $DUNE exec bin/portals_repro.exe -- \
-  --experiment fig6 --metrics=json --trace-out "$OUT/fig6.trace.json"
+  fig6 --metrics=json --trace-out "$OUT/fig6.trace.json"
 python3 -c "import json; json.load(open('$OUT/fig6.trace.json'))"
 
 echo "== smoke: rel_loss_sweep at a fixed seed =="
 $DUNE exec bin/portals_repro.exe -- \
-  --experiment rel_loss_sweep --metrics=json --seed 42 \
+  rel-loss-sweep --metrics=json --seed 42 \
   | tee "$OUT/rel_loss_sweep.out"
 grep -q 'rel.retransmits' "$OUT/rel_loss_sweep.out"
 grep -q 'fabric.drops_injected' "$OUT/rel_loss_sweep.out"
@@ -44,7 +44,7 @@ grep -q 'link.queue_depth' "$OUT/congestion.out"
 # Multi-hop routing composes with wire loss, the reliability shim and a
 # bounded hop queue: the fig6 sweep must still terminate and report.
 $DUNE exec bin/portals_repro.exe -- \
-  --experiment fig6 --topology ring --queue-limit 4 --loss 0.02 --seed 42 \
+  fig6 --topology ring --queue-limit 4 --loss 0.02 --seed 42 \
   | tee "$OUT/fig6_ring_lossy.out"
 grep -q 'Portals3.0-MCP' "$OUT/fig6_ring_lossy.out"
 
