@@ -41,8 +41,8 @@ bench:
 bench-json:
 	dune exec bin/portals_repro.exe -- bench --json BENCH.json
 
-# Fail if any experiment's events/sec regressed more than 25% against
-# the committed baseline. Refresh with `make baseline-refresh` on a
+# Fail if any experiment ran more than 25% slower (wall time on the same
+# work) than in the committed baseline. Refresh with `make baseline-refresh` on a
 # quiet machine; see README.
 perf-gate:
 	dune exec bin/portals_repro.exe -- \

@@ -813,7 +813,7 @@ let coll_cmd =
               "busy-host barrier/allreduce under each engine (id \
                $(b,COLL.<engine>.<op>))"))
 
-(* The baseline gate's allowed events/sec drop, in percent. *)
+(* The baseline gate's allowed slowdown, in percent of speed. *)
 let baseline_tolerance_pct = 25.
 
 let bench_cmd =
@@ -854,9 +854,9 @@ let bench_cmd =
       & opt (some string) None
       & info [ "baseline" ] ~docv:"FILE"
           ~doc:
-            "Compare against the records in $(docv) and exit 1 if any id's \
-             events/sec fell more than 25% (exit 2 if $(docv) cannot be \
-             read).")
+            "Compare against the records in $(docv) and exit 1 if any id ran \
+             more than 25% slower, by wall time on the same work (exit 2 if \
+             $(docv) cannot be read).")
   in
   Cmd.v
     (Cmd.info "bench"

@@ -114,6 +114,13 @@ let add t ~time value =
   sift_up t i
 
 let min_time t = if t.size = 0 then raise Empty else t.times.(0)
+let min_seq t = if t.size = 0 then raise Empty else t.seqs.(0)
+let next_seq t = t.next_seq
+
+let take_seq t =
+  let s = t.next_seq in
+  t.next_seq <- s + 1;
+  s
 
 let pop_min t =
   if t.size = 0 then raise Empty

@@ -33,6 +33,21 @@ val min_time : 'a t -> Time_ns.t
 (** Timestamp of the earliest event. O(1), non-allocating. Raises {!Empty}
     if the heap is empty. *)
 
+val min_seq : 'a t -> int
+(** Sequence number of the earliest event (its tie-break key, see
+    {!next_seq}). O(1), non-allocating. Raises {!Empty} if the heap is
+    empty. *)
+
+val next_seq : 'a t -> int
+(** The sequence number the next {!add} will assign. Sequence numbers
+    rise by one per {!add}, so an event [(time, seq)] fires before every
+    event added later at the same [time]. *)
+
+val take_seq : 'a t -> int
+(** Consume and return the next sequence number without adding an
+    event: the key an event added now would have had, for a caller that
+    tracks such an event itself instead of scheduling it. *)
+
 val pop_min : 'a t -> 'a
 (** Remove and return the earliest event's value (its timestamp is
     {!min_time}, read it first). O(log n), non-allocating. Raises {!Empty}

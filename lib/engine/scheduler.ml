@@ -14,6 +14,11 @@ type blocked_entry = {
 type t = {
   heap : (unit -> unit) Event_heap.t;
   mutable now : Time_ns.t;
+  (* Heap sequence number of the event being run; once the batch at [now]
+     completes, the last number assigned, so every event and order mark
+     at [now] counts as run. With [now] it is the key [has_passed]
+     compares against. *)
+  mutable cur_seq : int;
   mutable next_fiber_id : int;
   mutable live : int;
   mutable stopping : bool;
@@ -60,6 +65,7 @@ let create ?(seed = 0) ?(trace_capacity = 65536) () =
     {
       heap = Event_heap.create ();
       now = Time_ns.zero;
+      cur_seq = -1;
       next_fiber_id = 0;
       live = 0;
       stopping = false;
@@ -103,6 +109,10 @@ let at t time f =
   Event_heap.add t.heap ~time f
 
 let after t dt f = at t (Time_ns.add t.now dt) f
+let order_mark t = Event_heap.take_seq t.heap
+
+let has_passed t ~time ~mark =
+  time < t.now || (time = t.now && mark <= t.cur_seq)
 
 let domain_epoch t d = Option.value ~default:0 (Hashtbl.find_opt t.domain_kills d)
 
@@ -260,14 +270,18 @@ let run ?until ?(allow_blocked = false) t =
         t.now <- time;
         let continue = ref true in
         while !continue do
+          t.cur_seq <- Event_heap.min_seq t.heap;
           let f = Event_heap.pop_min t.heap in
           t.events <- t.events + 1;
           f ();
           if
-            t.stopping
-            || Event_heap.is_empty t.heap
+            Event_heap.is_empty t.heap
             || not (Time_ns.equal (Event_heap.min_time t.heap) time)
-          then continue := false
+          then begin
+            t.cur_seq <- Event_heap.next_seq t.heap - 1;
+            continue := false
+          end
+          else if t.stopping then continue := false
         done;
         loop ()
       end

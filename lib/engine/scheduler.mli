@@ -75,6 +75,21 @@ val at : t -> Time_ns.t -> (unit -> unit) -> unit
 val after : t -> Time_ns.t -> (unit -> unit) -> unit
 (** [after t dt f] is [at t (now t + dt) f]. *)
 
+val order_mark : t -> int
+(** [order_mark t] takes the heap sequence number a callback scheduled
+    now would receive, without scheduling one. A component that would
+    otherwise schedule a bookkeeping callback at some time [time] keeps
+    [(time, order_mark t)] instead and asks {!has_passed} later: the
+    answer follows the callback's place in the (time, sequence) order
+    exactly, ties at the same instant included, at no event cost. *)
+
+val has_passed : t -> time:Time_ns.t -> mark:int -> bool
+(** [has_passed t ~time ~mark] is whether a callback keyed
+    [(time, mark)] (see {!order_mark}) would already have run: [time] is
+    before {!now}, or equals it and [mark] precedes the event being run.
+    Once the batch of events at {!now} completes, every mark taken so
+    far at {!now} counts as run. *)
+
 val delay : t -> Time_ns.t -> unit
 (** Fiber-only. Suspends the calling fiber for [dt] of simulated time. *)
 

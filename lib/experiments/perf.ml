@@ -357,13 +357,14 @@ type regression = {
   r_ratio : float;
 }
 
-(* The gate compares events/sec only: it is the one throughput field that
-   is meaningful across code versions (wall time alone moves with the
-   event count, and the sim-side fields are not performance). Records
-   whose runs process no events (the wire-format tables) have no
-   throughput, and runs under [min_gated_events] finish in microseconds —
-   their events/sec is timer noise; both are skipped, as are ids missing
-   from either side. *)
+(* The gate compares each record's wall time: [base.wall_s /. cur.wall_s]
+   is the current run's speed relative to the baseline's on the same
+   work. Events/sec would read a change that cuts the event count for
+   the same result as a slowdown; for a record whose [sim_events] did
+   not move the two ratios are equal, so the verdict is the same. Runs
+   under [min_gated_events] finish in microseconds and their wall time is
+   timer noise; they are skipped, as are records with no measured wall
+   time and ids missing from either side. *)
 let min_gated_events = 1000
 
 let compare_baseline ~baseline ~current ~tolerance_pct =
@@ -374,19 +375,19 @@ let compare_baseline ~baseline ~current ~tolerance_pct =
       | None -> None
       | Some base ->
         if
-          base.events_per_sec <= 0.
-          || cur.events_per_sec <= 0.
+          base.wall_s <= 0.
+          || cur.wall_s <= 0.
           || base.sim_events < min_gated_events
           || cur.sim_events < min_gated_events
         then None
         else begin
-          let ratio = cur.events_per_sec /. base.events_per_sec in
+          let ratio = base.wall_s /. cur.wall_s in
           if ratio < floor_frac then
             Some
               {
                 r_id = cur.id;
-                r_baseline = base.events_per_sec;
-                r_current = cur.events_per_sec;
+                r_baseline = base.wall_s;
+                r_current = cur.wall_s;
                 r_ratio = ratio;
               }
           else None
@@ -397,6 +398,7 @@ let pp_regressions ppf regs =
   List.iter
     (fun r ->
       Format.fprintf ppf
-        "PERF REGRESSION %s: %.0f events/sec vs baseline %.0f (%.0f%%)@."
+        "PERF REGRESSION %s: %.6f s vs baseline %.6f s (%.0f%% of baseline \
+         speed)@."
         r.r_id r.r_current r.r_baseline (100. *. r.r_ratio))
     regs

@@ -9,7 +9,7 @@
     deterministic for a fixed seed: two runs of the same build must agree
     on them exactly. [wall_s], [events_per_sec] and [peak_heap_words]
     describe the host and vary run to run; regression gating applies a
-    tolerance to [events_per_sec] only. *)
+    tolerance to [wall_s] only. *)
 
 type record = {
   id : string;
@@ -54,9 +54,9 @@ val read_json : path:string -> (record list, string) result
 
 type regression = {
   r_id : string;
-  r_baseline : float;  (** Baseline events/sec. *)
-  r_current : float;  (** Current events/sec. *)
-  r_ratio : float;  (** current / baseline. *)
+  r_baseline : float;  (** Baseline wall seconds. *)
+  r_current : float;  (** Current wall seconds. *)
+  r_ratio : float;  (** baseline / current: the current run's relative speed. *)
 }
 
 val compare_baseline :
@@ -64,9 +64,11 @@ val compare_baseline :
   current:record list ->
   tolerance_pct:float ->
   regression list
-(** Ids whose current events/sec fell more than [tolerance_pct] percent
-    below baseline. Ids missing from either side, and records processing
-    fewer than 1000 events (their events/sec is timer noise), are
-    skipped. Empty means the gate passes. *)
+(** Ids whose current run is more than [tolerance_pct] percent slower
+    than baseline, by wall time on the same work. Unlike events/sec,
+    this does not read a cut in the event count as a slowdown. Ids
+    missing from either side, records without a wall time, and records
+    processing fewer than 1000 events (their wall time is timer noise)
+    are skipped. Empty means the gate passes. *)
 
 val pp_regressions : Format.formatter -> regression list -> unit

@@ -21,11 +21,31 @@ type shim = {
 
 type handler = src:Proc_id.t -> bytes -> unit
 
+(* A message routed over the hop graph, allocated once at send time and
+   carried hop to hop. Every stochastic choice — fault decision, delay,
+   partition cut, crash epochs — is resolved before the first hop, so the
+   hops (on whichever shard runs them) only execute consequences. The
+   payload is replaced when a later hop corrupts it. *)
+type flight = {
+  fl_src : Proc_id.t;
+  fl_dst : Proc_id.t;
+  fl_path : int array; (* link ids, first hop first *)
+  fl_seq : int; (* per-pair message sequence, keys hop corruption *)
+  fl_wire_bytes : int; (* wire image of the {e original} frame *)
+  fl_decision : Fault.decision;
+  fl_cut : bool;
+  fl_src_epoch : int;
+  fl_dst_epoch : int;
+  fl_delay_by : Time_ns.t;
+  fl_clamp : bool; (* FIFO floor active, decided at send time *)
+  mutable fl_payload : bytes;
+}
+
 (* Cross-shard fabric traffic as plain data. The sending shard resolves
-   every stochastic choice — fault decision, delay, partition cut, crash
-   epochs — before the message leaves its domain, so the receiving shard
-   only executes consequences against its own replica state. Closures
-   must not cross domains: they would capture the wrong shard's fabric. *)
+   every stochastic choice before the message leaves its domain, so the
+   receiving shard only executes consequences against its own replica
+   state. Closures must not cross domains: they would capture the wrong
+   shard's fabric. *)
 type remote =
   | R_land of {
       rl_src : Proc_id.t;
@@ -36,20 +56,7 @@ type remote =
       rl_src_epoch : int;
       rl_dst_epoch : int;
     }
-  | R_hop of {
-      rh_src : Proc_id.t;
-      rh_dst : Proc_id.t;
-      rh_payload : bytes;
-      rh_i : int; (* next hop index into the route path *)
-      rh_seq : int; (* per-pair message sequence, keys hop corruption *)
-      rh_wire_bytes : int; (* wire image of the {e original} frame *)
-      rh_decision : Fault.decision;
-      rh_cut : bool;
-      rh_src_epoch : int;
-      rh_dst_epoch : int;
-      rh_delay_by : Time_ns.t;
-      rh_clamp : bool; (* FIFO floor active, decided at send time *)
-    }
+  | R_hop of flight * int (* the flight and its next hop index *)
 
 type par = {
   par_self : int;
@@ -127,8 +134,7 @@ let create ?(topology = Topology.Full) ?queue_limit sched ~profile ~nodes =
         Link.create
           ~name:(Topology.link_name topo id)
           ~bandwidth:profile.Profile.wire_bandwidth
-          ~latency:profile.Profile.wire_latency ?queue_limit ~tracked:true
-          sched)
+          ~latency:profile.Profile.wire_latency ?queue_limit sched)
   in
   let t =
     {
@@ -451,6 +457,11 @@ let land_msg t ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload =
       arrive t ~src ~dst payload;
       arrive t ~src ~dst payload
 
+let land_flight t fl =
+  land_msg t ~src:fl.fl_src ~dst:fl.fl_dst ~decision:fl.fl_decision
+    ~cut:fl.fl_cut ~src_epoch:fl.fl_src_epoch ~dst_epoch:fl.fl_dst_epoch
+    fl.fl_payload
+
 (* Store-and-forward over the hop path: at each hop the message
    FIFO-queues on the shared link, occupies it for its full wire image,
    then propagates to the next vertex. A hop whose queue is over the
@@ -458,25 +469,26 @@ let land_msg t ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload =
    [lib/reliability]) this is indistinguishable from wire loss. Each hop
    executes on the shard owning the link's source vertex; advancing to a
    vertex owned elsewhere posts the remaining journey as plain data. *)
-let rec hop_step t ~src ~dst ~seq ~i ~wire_bytes ~decision ~cut ~src_epoch
-    ~dst_epoch ~delay_by ~clamp payload =
-  let path = route t ~src:src.Proc_id.nid ~dst:dst.Proc_id.nid in
+let rec hop_step t fl i =
+  let path = fl.fl_path in
+  let src = fl.fl_src and dst = fl.fl_dst in
   if i >= Array.length path then begin
     let now = Scheduler.now t.fabric_sched in
-    let arrival = Time_ns.add now delay_by in
-    let arrival = if clamp then clamp_arrival t ~src ~dst arrival else arrival in
-    if Time_ns.compare arrival now = 0 then
-      land_msg t ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload
-    else
-      Scheduler.at t.fabric_sched arrival (fun () ->
-          land_msg t ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload)
+    let arrival = Time_ns.add now fl.fl_delay_by in
+    let arrival =
+      if fl.fl_clamp then clamp_arrival t ~src ~dst arrival else arrival
+    in
+    if Time_ns.compare arrival now = 0 then land_flight t fl
+    else Scheduler.at t.fabric_sched arrival (fun () -> land_flight t fl)
   end
   else begin
-    let payload =
-      if i = 0 then payload else per_hop_corrupt t ~src ~dst ~seq ~hop:i payload
-    in
+    if i > 0 then
+      fl.fl_payload <-
+        per_hop_corrupt t ~src ~dst ~seq:fl.fl_seq ~hop:i fl.fl_payload;
     let flow = (src.Proc_id.nid * Array.length t.nodes) + dst.Proc_id.nid in
-    match Link.transmit t.hop_links.(path.(i)) ~flow ~bytes:wire_bytes () with
+    match
+      Link.transmit t.hop_links.(path.(i)) ~flow ~bytes:fl.fl_wire_bytes ()
+    with
     | `Dropped -> t.drop_congested <- t.drop_congested + 1
     | `Accepted arrival -> (
       let next_v =
@@ -486,25 +498,9 @@ let rec hop_step t ~src ~dst ~seq ~i ~wire_bytes ~decision ~cut ~src_epoch
       match t.par with
       | Some p when p.par_owner.(next_v) <> p.par_self ->
         p.par_post ~dst_shard:p.par_owner.(next_v) ~time:arrival
-          (R_hop
-             {
-               rh_src = src;
-               rh_dst = dst;
-               rh_payload = payload;
-               rh_i = i + 1;
-               rh_seq = seq;
-               rh_wire_bytes = wire_bytes;
-               rh_decision = decision;
-               rh_cut = cut;
-               rh_src_epoch = src_epoch;
-               rh_dst_epoch = dst_epoch;
-               rh_delay_by = delay_by;
-               rh_clamp = clamp;
-             })
+          (R_hop (fl, i + 1))
       | _ ->
-        Scheduler.at t.fabric_sched arrival (fun () ->
-            hop_step t ~src ~dst ~seq ~i:(i + 1) ~wire_bytes ~decision ~cut
-              ~src_epoch ~dst_epoch ~delay_by ~clamp payload))
+        Scheduler.at t.fabric_sched arrival (fun () -> hop_step t fl (i + 1)))
   end
 
 let exec_remote t = function
@@ -513,13 +509,7 @@ let exec_remote t = function
         rl_dst_epoch } ->
     land_msg t ~src:rl_src ~dst:rl_dst ~decision:rl_decision ~cut:rl_cut
       ~src_epoch:rl_src_epoch ~dst_epoch:rl_dst_epoch rl_payload
-  | R_hop
-      { rh_src; rh_dst; rh_payload; rh_i; rh_seq; rh_wire_bytes; rh_decision;
-        rh_cut; rh_src_epoch; rh_dst_epoch; rh_delay_by; rh_clamp } ->
-    hop_step t ~src:rh_src ~dst:rh_dst ~seq:rh_seq ~i:rh_i
-      ~wire_bytes:rh_wire_bytes ~decision:rh_decision ~cut:rh_cut
-      ~src_epoch:rh_src_epoch ~dst_epoch:rh_dst_epoch ~delay_by:rh_delay_by
-      ~clamp:rh_clamp rh_payload
+  | R_hop (fl, i) -> hop_step t fl i
 
 let receive_remote t ~time msg =
   Scheduler.at t.fabric_sched time (fun () -> exec_remote t msg)
@@ -602,9 +592,22 @@ let send_raw t ~src ~dst payload =
             land_msg t ~src ~dst ~decision ~cut ~src_epoch ~dst_epoch payload)
     end
     else begin
-      let wire_bytes = Profile.wire_bytes_of_len t.fabric_profile len in
-      hop_step t ~src ~dst ~seq ~i:0 ~wire_bytes ~decision ~cut ~src_epoch
-        ~dst_epoch ~delay_by ~clamp payload
+      hop_step t
+        {
+          fl_src = src;
+          fl_dst = dst;
+          fl_path = path;
+          fl_seq = seq;
+          fl_wire_bytes = Profile.wire_bytes_of_len t.fabric_profile len;
+          fl_decision = decision;
+          fl_cut = cut;
+          fl_src_epoch = src_epoch;
+          fl_dst_epoch = dst_epoch;
+          fl_delay_by = delay_by;
+          fl_clamp = clamp;
+          fl_payload = payload;
+        }
+        0
     end
   end
 

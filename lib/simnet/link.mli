@@ -33,7 +33,6 @@ val create :
   ?bandwidth:float ->
   ?latency:Sim_engine.Time_ns.t ->
   ?queue_limit:int ->
-  ?tracked:bool ->
   Sim_engine.Scheduler.t ->
   t
 (** [create sched] registers ["link.busy_us"] and ["link.utilization"]
@@ -45,12 +44,14 @@ val create :
     those queued behind it) before further traffic is dropped — [None]
     (default) queues without bound, i.e. pure backpressure.
 
-    [tracked] (default false; topology hop links set it) additionally
-    registers ["link.queue_depth"] (peak outstanding transmissions),
-    ["link.flows"] (peak concurrent distinct flows) and ["link.busy_ns"]
-    probes, and makes {!transmit} maintain the underlying counts — the
-    bookkeeping costs one scheduler event per transmission, which the
-    seed's private-wire hot paths must not pay. *)
+    A link with a [bandwidth] (the topology hop links) also registers
+    ["link.queue_depth"] (peak outstanding transmissions), ["link.flows"]
+    (peak concurrent distinct flows), ["link.busy_ns"] and
+    ["link.congestion_drops"] probes. The counts behind them are kept
+    lazily: a transmission leaves the link's books at the first
+    {!transmit} or {!queue_depth} after the scheduler has passed its
+    completion, in scheduler (time, sequence) order, so they cost no
+    scheduler event. *)
 
 val occupy : t -> Sim_engine.Time_ns.t -> Sim_engine.Time_ns.t
 (** [occupy t d] reserves the resource for duration [d] starting at the
@@ -72,7 +73,7 @@ val transmit :
     delivery) at that instant. [`Dropped] means the queue limit was hit:
     the message is lost here, as a congested store-and-forward switch
     with full buffers would lose it. [flow] identifies the (src, dst)
-    stream for the concurrent-flow statistics of tracked links.
+    stream for the concurrent-flow statistics.
 
     Raises [Invalid_argument] if the link has no [bandwidth]. *)
 
@@ -91,14 +92,16 @@ val busy_time : t -> Sim_engine.Time_ns.t
 (** Total time the resource has been occupied (utilisation numerator). *)
 
 val queue_depth : t -> int
-(** Outstanding transmissions right now (tracked links only; 0
-    otherwise). *)
+(** Transmissions accepted by {!transmit} whose serialisation has not
+    completed by the scheduler's present moment: one ending at the
+    current instant counts as complete if a callback scheduled for its
+    completion at {!transmit} time would already have run. *)
 
 val peak_queue_depth : t -> int
 (** High-water mark of {!queue_depth} over the run. *)
 
 val peak_flows : t -> int
-(** High-water mark of concurrent distinct flows (tracked links only). *)
+(** High-water mark of concurrent distinct flows. *)
 
 val congestion_drops : t -> int
 (** Transmissions refused because the queue limit was reached. *)

@@ -27,17 +27,18 @@ for family in MX RMA CH PAR COLL; do
     fail "no $family.* record"
 done
 
-# Every gated rate tiny: nothing can regress against it.
-sed 's/"events_per_sec": [0-9.]*/"events_per_sec": 0.1/' \
-  "$tmp/bench.json" >"$tmp/tiny.json"
-run "$exe" bench --quick --baseline "$tmp/tiny.json"
-[ "$rc" -eq 0 ] || fail "gate against tiny rates exited $rc, want 0"
+# Every gated run took 1000 s in the baseline: nothing can regress
+# against it.
+sed 's/"wall_s": [0-9.]*/"wall_s": 1000.0/' \
+  "$tmp/bench.json" >"$tmp/slow.json"
+run "$exe" bench --quick --baseline "$tmp/slow.json"
+[ "$rc" -eq 0 ] || fail "gate against slow baseline runs exited $rc, want 0"
 
-# One id (S3, tens of thousands of events) claims an impossible rate.
-sed 's/\("id": "S3".*"events_per_sec": \)[0-9.]*/\11000000000000000.0/' \
-  "$tmp/tiny.json" >"$tmp/huge.json"
-run "$exe" bench --quick --baseline "$tmp/huge.json"
-[ "$rc" -eq 1 ] || fail "gate against an impossible S3 rate exited $rc, want 1"
+# One id (S3, tens of thousands of events) claims an impossible 1 us run.
+sed 's/\("id": "S3", "wall_s": \)[0-9.]*/\10.000001/' \
+  "$tmp/slow.json" >"$tmp/fast.json"
+run "$exe" bench --quick --baseline "$tmp/fast.json"
+[ "$rc" -eq 1 ] || fail "gate against an impossible S3 time exited $rc, want 1"
 grep -q 'S3' "$tmp/err" || fail "regression report does not name S3"
 
 run "$exe" bench --quick --baseline "$tmp/missing.json"

@@ -351,6 +351,39 @@ let scheduler_tests =
         Scheduler.run sched;
         Alcotest.(check (list string)) "order" [ "a"; "b"; "c"; "d" ]
           (List.rev !order));
+    Alcotest.test_case "order mark takes a place in the same-instant order"
+      `Quick (fun () ->
+        (* A mark taken between scheduling "before" and "after" at the
+           same instant counts as run exactly where a callback scheduled
+           in its place would have run, including after a stop. *)
+        let sched = Scheduler.create () in
+        let seen = ref [] in
+        let mark = ref (-1) in
+        let probe tag () =
+          seen := (tag, Scheduler.has_passed sched ~time:10 ~mark:!mark) :: !seen
+        in
+        Scheduler.at sched 10 (probe "before");
+        mark := Scheduler.order_mark sched;
+        Scheduler.at sched 10 (fun () ->
+            probe "after" ();
+            Scheduler.stop sched);
+        Scheduler.at sched 10 (probe "later");
+        Alcotest.(check bool) "not before its instant" false
+          (Scheduler.has_passed sched ~time:10 ~mark:!mark);
+        Scheduler.run sched;
+        Alcotest.(check bool) "passed while stopped mid-batch" true
+          (Scheduler.has_passed sched ~time:10 ~mark:!mark);
+        let late = Scheduler.order_mark sched in
+        Alcotest.(check bool) "a mark taken mid-batch is still pending" false
+          (Scheduler.has_passed sched ~time:10 ~mark:late);
+        Scheduler.run sched;
+        Alcotest.(check bool) "whole instant run" true
+          (Scheduler.has_passed sched ~time:10 ~mark:late);
+        Alcotest.(check (list (pair string bool))) "probes"
+          [ ("before", false); ("after", true); ("later", true) ]
+          (List.rev !seen);
+        Alcotest.(check int) "marks are not events" 3
+          (Scheduler.events_processed sched));
     Alcotest.test_case "kill_domain spares the next incarnation" `Quick
       (fun () ->
         let sched = Scheduler.create () in

@@ -431,10 +431,10 @@ let perf_tests =
   let open Experiments.Perf in
   (* Synthetic records use values exactly representable at the JSON
      writer's printed precision, so round trips compare cleanly. *)
-  let mk ?(events = 5000) id eps =
+  let mk ?(events = 5000) ?(wall_s = 0.125) id eps =
     {
       id;
-      wall_s = 0.125;
+      wall_s;
       sim_events = events;
       fibers = 3;
       sim_time_us = 250.125;
@@ -472,9 +472,14 @@ let perf_tests =
           [ ""; "{"; "{\"records\": [}"; "[1,2,3]"; "{\"schema\": 42}" ]);
     Alcotest.test_case "gate flags drops beyond tolerance only" `Quick
       (fun () ->
-        let baseline = [ mk "T1" 100_000.0; mk "F5" 200_000.0 ] in
-        let current = [ mk "T1" 80_000.0; mk "F5" 195_000.0 ] in
-        (* T1 dropped 20%: inside a 25% tolerance, outside a 10% one. *)
+        let baseline =
+          [ mk ~wall_s:0.1 "T1" 50_000.0; mk ~wall_s:0.2 "F5" 25_000.0 ]
+        in
+        let current =
+          [ mk ~wall_s:0.125 "T1" 40_000.0; mk ~wall_s:0.205 "F5" 24_390.2 ]
+        in
+        (* T1 runs at 80% of baseline speed: inside a 25% tolerance,
+           outside a 10% one. *)
         Alcotest.(check int) "25% passes" 0
           (List.length (compare_baseline ~baseline ~current ~tolerance_pct:25.));
         (match compare_baseline ~baseline ~current ~tolerance_pct:10. with
@@ -482,13 +487,29 @@ let perf_tests =
           Alcotest.(check string) "flagged id" "T1" r.r_id;
           Alcotest.(check (float 1e-6)) "ratio" 0.8 r.r_ratio
         | rs -> Alcotest.failf "expected one regression, got %d" (List.length rs)));
+    Alcotest.test_case "gate reads fewer events in less time as a speedup"
+      `Quick (fun () ->
+        (* Same work done with a third fewer scheduler events, 1.5x faster
+           in wall time: events/sec fell, and must not be flagged. *)
+        let baseline = [ mk ~events:24_576 ~wall_s:0.3 "PAR.seq" 81_920.0 ] in
+        let current = [ mk ~events:16_384 ~wall_s:0.2 "PAR.seq" 81_920.0 ] in
+        Alcotest.(check int) "faster passes" 0
+          (List.length (compare_baseline ~baseline ~current ~tolerance_pct:25.));
+        let slower = [ mk ~events:16_384 ~wall_s:0.5 "PAR.seq" 32_768.0 ] in
+        Alcotest.(check int) "slower is flagged" 1
+          (List.length
+             (compare_baseline ~baseline ~current:slower ~tolerance_pct:25.)));
     Alcotest.test_case "gate skips tiny runs and unmatched ids" `Quick
       (fun () ->
-        (* 500 events finish in microseconds; their events/sec is timer
-           noise, so even a 10x drop must not trip the gate. Ids present
-           on only one side are ignored rather than failed. *)
-        let baseline = [ mk ~events:500 "F1" 1e6; mk "OLD" 100_000.0 ] in
-        let current = [ mk ~events:500 "F1" 1e5; mk "NEW" 50.0 ] in
+        (* 500 events finish in microseconds; their wall time is timer
+           noise, so even a 10x slowdown must not trip the gate. Ids
+           present on only one side are ignored rather than failed. *)
+        let baseline =
+          [ mk ~events:500 ~wall_s:0.001 "F1" 5e5; mk "OLD" 100_000.0 ]
+        in
+        let current =
+          [ mk ~events:500 ~wall_s:0.01 "F1" 5e4; mk "NEW" 50.0 ]
+        in
         Alcotest.(check int) "nothing flagged" 0
           (List.length (compare_baseline ~baseline ~current ~tolerance_pct:25.)));
     Alcotest.test_case "same-seed runs agree on sim-side fields" `Slow

@@ -78,12 +78,16 @@ let link_contention_tests =
     Alcotest.test_case "saturated shared link serialises two flows" `Quick
       (fun () ->
         let sched = Scheduler.create () in
-        let link = Link.create ~bandwidth:ns_per_byte ~tracked:true sched in
+        let link = Link.create ~bandwidth:ns_per_byte sched in
         (match Link.transmit link ~flow:1 ~bytes:1000 () with
         | `Accepted t -> Alcotest.(check int) "first owns the wire" 1000 t
         | `Dropped -> Alcotest.fail "first transmit dropped");
         (match Link.transmit link ~flow:2 ~bytes:1000 () with
-        | `Accepted t -> Alcotest.(check int) "second queues behind" 2000 t
+        | `Accepted t ->
+          Alcotest.(check int) "second queues behind" 2000 t;
+          (* The caller's follow-up (next hop or delivery) at the
+             arrival, as [transmit]'s contract asks. *)
+          Scheduler.at sched t ignore
         | `Dropped -> Alcotest.fail "second transmit dropped");
         Alcotest.(check int) "both outstanding" 2 (Link.queue_depth link);
         Alcotest.(check int) "peak depth" 2 (Link.peak_queue_depth link);
@@ -95,7 +99,7 @@ let link_contention_tests =
       (fun () ->
         let sched = Scheduler.create () in
         let link =
-          Link.create ~bandwidth:ns_per_byte ~latency:500 ~tracked:true sched
+          Link.create ~bandwidth:ns_per_byte ~latency:500 sched
         in
         (match Link.transmit link ~bytes:1000 () with
         | `Accepted t -> Alcotest.(check int) "tx + latency" 1500 t
@@ -104,15 +108,15 @@ let link_contention_tests =
     Alcotest.test_case "queue limit turns overload into drops" `Quick
       (fun () ->
         let sched = Scheduler.create () in
-        let link =
-          Link.create ~bandwidth:ns_per_byte ~queue_limit:2 ~tracked:true sched
-        in
+        let link = Link.create ~bandwidth:ns_per_byte ~queue_limit:2 sched in
         let seen = ref None in
         Link.on_congestion link (fun c -> seen := Some c);
         let accepted = ref 0 and dropped = ref 0 in
         for _ = 1 to 3 do
           match Link.transmit link ~bytes:100 () with
-          | `Accepted _ -> incr accepted
+          | `Accepted t ->
+            incr accepted;
+            Scheduler.at sched t ignore
           | `Dropped -> incr dropped
         done;
         Alcotest.(check int) "two fit" 2 !accepted;
@@ -139,6 +143,105 @@ let link_contention_tests =
         | `Accepted _ -> Alcotest.fail "limit ignored"
         | `Dropped -> ());
         Scheduler.run sched);
+    (* A transmission leaves the link's books at the point a release
+       callback scheduled by [transmit] would have run, so a transmit at
+       exactly the first one's completion sees the queue as that
+       callback's position in the same-instant order dictates. *)
+    Alcotest.test_case "same-instant tie follows scheduling order" `Quick
+      (fun () ->
+        let second ~probe_first =
+          let sched = Scheduler.create () in
+          let link = Link.create ~bandwidth:ns_per_byte ~queue_limit:1 sched in
+          let result = ref None in
+          let probe () = result := Some (Link.transmit link ~bytes:10 ()) in
+          if probe_first then Scheduler.at sched 100 probe;
+          (match Link.transmit link ~bytes:100 () with
+          | `Accepted t -> Alcotest.(check int) "first completes" 100 t
+          | `Dropped -> Alcotest.fail "first dropped");
+          if not probe_first then Scheduler.at sched 100 probe;
+          Scheduler.run sched;
+          match !result with
+          | Some r -> r
+          | None -> Alcotest.fail "probe did not run"
+        in
+        Alcotest.(check bool) "scheduled before the first transmit: dropped"
+          true
+          (second ~probe_first:true = `Dropped);
+        Alcotest.(check bool) "scheduled after it: accepted" true
+          (second ~probe_first:false = `Accepted 110));
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"lazy release matches release events"
+         ~count:300
+         QCheck.(
+           pair (int_range 0 3)
+             (list_of_size (Gen.int_range 1 40)
+                (triple (int_range 0 6) (int_range 0 12) (int_range 0 2))))
+         (fun (limit, probes) ->
+           (* Reference model: the bookkeeping driven by one release
+              callback per accepted transmission, scheduled right after
+              the transmit. Probes (instant, bytes, flow) land on
+              coarse instants so same-instant ties are common. *)
+           let sched = Scheduler.create () in
+           let queue_limit = if limit = 0 then None else Some limit in
+           let link = Link.create ~bandwidth:ns_per_byte ?queue_limit sched in
+           let depth = ref 0 and flows = Hashtbl.create 4 in
+           let peak = ref 0 and peak_flows = ref 0 in
+           let ok = ref true in
+           List.iter
+             (fun (slot, bytes, flow) ->
+               Scheduler.at sched (10 * slot) (fun () ->
+                   let expect_drop =
+                     match queue_limit with
+                     | Some l -> !depth >= l
+                     | None -> false
+                   in
+                   (match Link.transmit link ~flow ~bytes () with
+                   | `Dropped -> if not expect_drop then ok := false
+                   | `Accepted at ->
+                     if expect_drop then ok := false;
+                     incr depth;
+                     peak := max !peak !depth;
+                     let n = Option.value ~default:0 (Hashtbl.find_opt flows flow) in
+                     Hashtbl.replace flows flow (n + 1);
+                     peak_flows := max !peak_flows (Hashtbl.length flows);
+                     Scheduler.at sched at (fun () ->
+                         decr depth;
+                         match Hashtbl.find flows flow with
+                         | 1 -> Hashtbl.remove flows flow
+                         | n -> Hashtbl.replace flows flow (n - 1)));
+                   if Link.queue_depth link <> !depth then ok := false))
+             probes;
+           Scheduler.run sched;
+           !ok
+           && Link.queue_depth link = !depth
+           && Link.peak_queue_depth link = !peak
+           && Link.peak_flows link = !peak_flows));
+    Alcotest.test_case "queue depth between runs" `Quick (fun () ->
+        let sched = Scheduler.create () in
+        let link = Link.create ~bandwidth:ns_per_byte sched in
+        Scheduler.at sched 100 ignore;
+        ignore (Link.transmit link ~flow:1 ~bytes:100 ());
+        let inside = ref (-1) in
+        Scheduler.at sched 200 (fun () -> inside := Link.queue_depth link);
+        Alcotest.(check int) "outstanding before any run" 1
+          (Link.queue_depth link);
+        Scheduler.run ~until:150 sched;
+        (* The batch at 100 completed, so the transmission finishing at
+           100 is released even though its mark follows that batch's
+           only event. *)
+        Alcotest.(check int) "now" 100 (Scheduler.now sched);
+        Alcotest.(check int) "released once its instant has run" 0
+          (Link.queue_depth link);
+        ignore (Link.transmit link ~flow:2 ~bytes:100 ());
+        Scheduler.run ~until:150 sched;
+        Alcotest.(check int) "still serialising" 1 (Link.queue_depth link);
+        Scheduler.run sched;
+        Alcotest.(check int) "event at the finish, queued earlier, sees it" 1
+          !inside;
+        Alcotest.(check int) "released after the batch" 0 (Link.queue_depth link);
+        Alcotest.(check int) "flows never overlapped" 1 (Link.peak_flows link);
+        Alcotest.(check int) "no scheduler events of its own" 2
+          (Scheduler.events_processed sched));
   ]
 
 let topology_tests =
@@ -520,6 +623,90 @@ let fabric_topology_tests =
           (List.rev !got);
         Alcotest.(check bool) "hops actually contended" true
           (Fabric.peak_link_queue_depth fabric > 1));
+    Alcotest.test_case "a routed hop costs one scheduler event" `Quick
+      (fun () ->
+        let sched = Scheduler.create () in
+        let fabric =
+          Fabric.create
+            ~topology:(Topology.Torus2d (4, 4))
+            sched ~profile:Profile.myrinet_mcp ~nodes:16
+        in
+        let delivered = ref 0 in
+        for nid = 0 to 15 do
+          Fabric.register fabric (pid nid 0) (fun ~src:_ _ -> incr delivered)
+        done;
+        let hops = ref 0 in
+        for src = 0 to 15 do
+          for dst = 0 to 15 do
+            if src <> dst then begin
+              hops := !hops + Array.length (Fabric.route fabric ~src ~dst);
+              Fabric.send fabric ~src:(pid src 0) ~dst:(pid dst 0)
+                (Bytes.create 256)
+            end
+          done
+        done;
+        Scheduler.run sched;
+        Alcotest.(check int) "all delivered" 240 !delivered;
+        Alcotest.(check bool) "hops contended" true
+          (Fabric.peak_link_queue_depth fabric > 1);
+        Alcotest.(check int) "events = route hops" !hops
+          (Scheduler.events_processed sched));
+    Alcotest.test_case "per-hop corruption is shard-independent" `Quick
+      (fun () ->
+        (* Every delivery's time, source and payload digest, per node, on
+           a torus whose far-peer routes cross shard boundaries, under a
+           fault model that re-samples corruption on every hop. *)
+        let run ~domains =
+          Runtime.set_run_env ~fault:"corrupt:0.3" ();
+          Fun.protect ~finally:(fun () -> Runtime.set_run_env ~fault:"" ())
+          @@ fun () ->
+          let nodes = 16 in
+          let world =
+            Runtime.create_world ~domains ~seed:7
+              ~topology:(Topology.Torus2d (4, 4))
+              ~nodes ()
+          in
+          let log = Array.make nodes [] in
+          for nid = 0 to nodes - 1 do
+            let sched = Runtime.sched_of_nid world nid in
+            Fabric.register (Runtime.fabric_of_nid world nid) (pid nid 0)
+              (fun ~src payload ->
+                log.(nid) <-
+                  ( Scheduler.now sched,
+                    src.Proc_id.nid,
+                    Digest.to_hex (Digest.bytes payload) )
+                  :: log.(nid))
+          done;
+          (* One send every 40 us, so no two messages meet on a link.
+             Contended same-instant ties between a local and a
+             cross-shard message do not yet resolve as in the sequential
+             run; this test is about the flight record, not that. *)
+          for nid = 0 to nodes - 1 do
+            let fabric = Runtime.fabric_of_nid world nid in
+            for k = 1 to 3 do
+              Scheduler.at
+                (Runtime.sched_of_nid world nid)
+                (Time_ns.us (40. *. float_of_int ((3 * nid) + k)))
+                (fun () ->
+                  Fabric.send fabric ~src:(pid nid 0)
+                    ~dst:(pid ((nid + (5 * k)) mod nodes) 0)
+                    (Bytes.init 64 (fun i -> Char.chr ((nid + i + k) land 255))))
+            done
+          done;
+          Runtime.run world;
+          let corrupts =
+            Array.fold_left
+              (fun acc f -> acc + (Fabric.stats f).Fabric.corrupts_injected)
+              0 (Runtime.shard_fabrics world)
+          in
+          (Array.to_list (Array.map List.rev log), corrupts)
+        in
+        let seq_log, seq_corrupts = run ~domains:1 in
+        let par_log, par_corrupts = run ~domains:2 in
+        Alcotest.(check bool) "some hops corrupted" true (seq_corrupts > 0);
+        Alcotest.(check int) "same corruptions" seq_corrupts par_corrupts;
+        Alcotest.(check (list (list (triple int int string))))
+          "same deliveries, byte for byte" seq_log par_log);
     Alcotest.test_case "queue limit surfaces as congestion drops" `Quick
       (fun () ->
         let sched = Scheduler.create () in
