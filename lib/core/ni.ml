@@ -1069,34 +1069,35 @@ let create tp ~id:self ?(portal_table_size = 64) ?(acl_size = 16) () =
   tp.Simnet.Transport.register self (fun ~src payload ->
       handle_incoming t ~src payload);
   (* Publish the §4.8 drop counters (by reason) and the interface counters
-     as probes: the receive path keeps its plain integer bumps, and the
-     registry polls them only at snapshot time. *)
-  let m = Scheduler.metrics (sched t) in
-  let proc = Format.asprintf "%a" Simnet.Proc_id.pp self in
-  List.iter
-    (fun reason ->
-      Metrics.probe m
-        ~labels:[ ("proc", proc); ("reason", drop_reason_slug reason) ]
-        "ni.drops"
-        (fun () -> float_of_int t.drops.(drop_reason_index reason)))
-    all_drop_reasons;
-  let labels = [ ("proc", proc) ] in
-  List.iter
-    (fun (name, read) -> Metrics.probe m ~labels name read)
-    [
-      ("ni.puts", fun () -> float_of_int t.c.c_puts);
-      ("ni.gets", fun () -> float_of_int t.c.c_gets);
-      ("ni.atomics", fun () -> float_of_int t.c.c_atomics);
-      ("ni.acks", fun () -> float_of_int t.c.c_acks);
-      ("ni.replies", fun () -> float_of_int t.c.c_replies);
-      ("ni.atomics_executed", fun () -> float_of_int t.c.c_atomics_exec);
-      ("ni.rx_messages", fun () -> float_of_int t.c.c_rx);
-      ("ni.rx_bytes", fun () -> float_of_int t.c.c_rx_bytes);
-      ("ni.translations", fun () -> float_of_int t.c.c_translations);
-      ("ni.entries_walked", fun () -> float_of_int t.c.c_entries);
-      ("ni.triggered_fired", fun () -> float_of_int t.c.c_triggered);
-      ("ni.drops_total", fun () -> float_of_int (dropped_total t));
-    ];
+     from one source: the receive path keeps its plain integer bumps, and
+     the registry polls them (and builds their labels) only at snapshot
+     time. A fresh NI for the same process replaces this one's source. *)
+  let proc = Simnet.Proc_id.to_string self in
+  Metrics.source (Scheduler.metrics (sched t)) ("ni " ^ proc) (fun emit ->
+      List.iter
+        (fun reason ->
+          emit "ni.drops"
+            [ ("proc", proc); ("reason", drop_reason_slug reason) ]
+            (float_of_int t.drops.(drop_reason_index reason)))
+        all_drop_reasons;
+      let labels = [ ("proc", proc) ] in
+      let c = t.c in
+      List.iter
+        (fun (name, v) -> emit name labels (float_of_int v))
+        [
+          ("ni.puts", c.c_puts);
+          ("ni.gets", c.c_gets);
+          ("ni.atomics", c.c_atomics);
+          ("ni.acks", c.c_acks);
+          ("ni.replies", c.c_replies);
+          ("ni.atomics_executed", c.c_atomics_exec);
+          ("ni.rx_messages", c.c_rx);
+          ("ni.rx_bytes", c.c_rx_bytes);
+          ("ni.translations", c.c_translations);
+          ("ni.entries_walked", c.c_entries);
+          ("ni.triggered_fired", c.c_triggered);
+          ("ni.drops_total", dropped_total t);
+        ]);
   t
 
 let shutdown t =

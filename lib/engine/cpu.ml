@@ -8,27 +8,25 @@ type t = {
 }
 
 let create ?(name = "cpu") sched =
-  let t =
-    {
-      sched;
-      cpu_name = name;
-      lock = Sync.Semaphore.create ~name:(name ^ ".lock") sched 1;
-      due = None;
-      stolen = Time_ns.zero;
-      computed = Time_ns.zero;
-    }
-  in
-  let m = Scheduler.metrics sched in
-  let labels = [ ("cpu", name) ] in
-  Metrics.probe m ~labels "cpu.stolen_us" (fun () -> Time_ns.to_us t.stolen);
-  Metrics.probe m ~labels "cpu.compute_us" (fun () -> Time_ns.to_us t.computed);
-  Metrics.probe m ~labels "cpu.occupancy" (fun () ->
-      (* Fraction of elapsed simulated time this CPU spent executing
-         application compute or stolen protocol work. *)
-      let now = Time_ns.to_us (Scheduler.now sched) in
-      if now <= 0. then 0.
-      else (Time_ns.to_us t.computed +. Time_ns.to_us t.stolen) /. now);
-  t
+  {
+    sched;
+    cpu_name = name;
+    lock = Sync.Semaphore.create ~name:(name ^ ".lock") sched 1;
+    due = None;
+    stolen = Time_ns.zero;
+    computed = Time_ns.zero;
+  }
+
+let publish t (emit : Metrics.emit) =
+  let labels = [ ("cpu", t.cpu_name) ] in
+  emit "cpu.stolen_us" labels (Time_ns.to_us t.stolen);
+  emit "cpu.compute_us" labels (Time_ns.to_us t.computed);
+  (* Fraction of elapsed simulated time this CPU spent executing
+     application compute or stolen protocol work. *)
+  let now = Time_ns.to_us (Scheduler.now t.sched) in
+  emit "cpu.occupancy" labels
+    (if now <= 0. then 0.
+     else (Time_ns.to_us t.computed +. Time_ns.to_us t.stolen) /. now)
 
 let name t = t.cpu_name
 

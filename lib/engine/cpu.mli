@@ -22,10 +22,14 @@
 type t
 
 val create : ?name:string -> Scheduler.t -> t
-(** Registers ["cpu.stolen_us"], ["cpu.compute_us"] and ["cpu.occupancy"]
-    probes labelled [("cpu", name)] in the scheduler's metrics registry.
-    Completed {!compute} intervals emit ["cpu"] trace spans when the
-    scheduler's trace is enabled. *)
+(** Completed {!compute} intervals emit ["cpu"] trace spans when the
+    scheduler's trace is enabled. The CPU registers no metrics; its owner
+    publishes it with {!publish}. *)
+
+val publish : t -> Metrics.emit -> unit
+(** Emit ["cpu.stolen_us"], ["cpu.compute_us"] and ["cpu.occupancy"]
+    labelled [("cpu", name)] — for a {!Metrics.source} to call at
+    snapshot time. *)
 
 val name : t -> string
 

@@ -4,9 +4,11 @@
    together per-module records.
 
    Instruments are keyed by (name, sorted labels); registering the same key
-   twice returns the same instrument, so components created in loops (one
-   NI per rank, one link per node) can register unconditionally. Probes are
-   polled only at snapshot time, so hot paths pay nothing for them. *)
+   twice returns the same instrument. Probes are polled only at snapshot
+   time, so hot paths pay nothing for them. Components that come in
+   thousands (links, CPUs, NIs) register no instruments at all: a group
+   registers one source closure that emits its entries at snapshot time,
+   so set-up costs one table insertion per group, not one per value. *)
 
 type labels = (string * string) list
 
@@ -46,6 +48,12 @@ type instrument =
 
 type entry = { name : string; labels : labels; mutable instrument : instrument }
 
+type emit = string -> labels -> float -> unit
+
+(* [stamp] orders sources by their latest (re)registration: on a key
+   emitted by two sources, the later one wins. *)
+type source = { mutable poll : emit -> unit; mutable stamp : int }
+
 type t = {
   (* Time-series sampling is a separate, default-off level: every sample
      allocates a point, and some series sample per message (EQ depth,
@@ -54,10 +62,18 @@ type t = {
   detail : bool ref;
   mutable rev_entries : entry list;
   tbl : (string * labels, entry) Hashtbl.t;
+  sources : (string, source) Hashtbl.t;
+  mutable next_stamp : int;
 }
 
 let create ?(detail = false) () =
-  { detail = ref detail; rev_entries = []; tbl = Hashtbl.create 64 }
+  {
+    detail = ref detail;
+    rev_entries = [];
+    tbl = Hashtbl.create 64;
+    sources = Hashtbl.create 8;
+    next_stamp = 0;
+  }
 
 let detail t = !(t.detail)
 let set_detail t on = t.detail := on
@@ -107,6 +123,15 @@ let probe t ?(labels = []) name f =
   match entry.instrument with
   | Probe _ -> entry.instrument <- Probe f
   | other -> mismatch name "probe" (kind_name other)
+
+let source t id poll =
+  let stamp = t.next_stamp in
+  t.next_stamp <- stamp + 1;
+  match Hashtbl.find_opt t.sources id with
+  | Some src ->
+    src.poll <- poll;
+    src.stamp <- stamp
+  | None -> Hashtbl.add t.sources id { poll; stamp }
 
 let new_summary () =
   Summary
@@ -226,6 +251,23 @@ let summary_stats m =
       total = m.m_total;
     }
 
+let compare_entries (a : Snapshot.entry) (b : Snapshot.entry) =
+  match String.compare a.Snapshot.name b.Snapshot.name with
+  | 0 -> compare a.Snapshot.labels b.Snapshot.labels
+  | c -> c
+
+(* Sorted entries with one per key: the stable sort keeps the input order
+   among equal keys, and the first of each run is kept. *)
+let dedup sorted =
+  let rec go acc = function
+    | [] -> List.rev acc
+    | (e : Snapshot.entry) :: rest -> (
+      match acc with
+      | prev :: _ when compare_entries prev e = 0 -> go acc rest
+      | _ -> go (e :: acc) rest)
+  in
+  go [] sorted
+
 let snapshot t : Snapshot.t =
   let capture e : Snapshot.entry =
     let value =
@@ -238,11 +280,23 @@ let snapshot t : Snapshot.t =
     in
     { Snapshot.name = e.name; labels = e.labels; value }
   in
-  List.rev_map capture t.rev_entries
-  |> List.stable_sort (fun (a : Snapshot.entry) b ->
-         match String.compare a.Snapshot.name b.Snapshot.name with
-         | 0 -> compare a.Snapshot.labels b.Snapshot.labels
-         | c -> c)
+  (* Instruments first, then sources latest first: on a clash the
+     registered instrument wins, then the most recently registered
+     source. *)
+  let sources =
+    Hashtbl.fold (fun _ src acc -> src :: acc) t.sources []
+    |> List.sort (fun a b -> Int.compare b.stamp a.stamp)
+  in
+  let polled = ref [] in
+  let emit name labels v =
+    polled :=
+      { Snapshot.name; labels = normalize_labels labels; value = Gauge v }
+      :: !polled
+  in
+  List.iter (fun src -> src.poll emit) sources;
+  List.rev_map capture t.rev_entries @ List.rev !polled
+  |> List.stable_sort compare_entries
+  |> dedup
 
 let absorb t ?(labels = []) (snap : Snapshot.t) =
   List.iter

@@ -9,13 +9,22 @@
     Cost model: instruments are registered once at component setup;
     mutation is the bare arithmetic; probes are closures polled only by
     {!snapshot}, so the instrumented hot path pays nothing for them.
+    Components that come in thousands — links, CPUs, network interfaces
+    — register no instrument at all. Their owner registers one
+    {!source} per group (a fabric for its nodes and hop links, a
+    transport for its receive engines, an NI for its counters): a
+    closure that {!snapshot} polls, emitting each member's gauges with
+    labels built then. Set-up pays one table insertion per group, and a
+    run that never takes a snapshot never builds a label.
 
     Registration is idempotent: asking for an instrument under an existing
     (name, labels) key returns the already-registered instrument.
-    Re-registering a {!probe} rebinds the closure — components recreated
-    under the same identity replace their predecessor's probe. Asking for
-    a key that exists with a different instrument kind raises
-    [Invalid_argument]. *)
+    Re-registering a {!probe} rebinds the closure, and re-registering a
+    {!source} id replaces the old source and its entries: a component
+    recreated under the same identity (a fresh NI for the same rank, a
+    second transport's receive engines) replaces its predecessor and does
+    not keep it alive. Asking for a key that exists with a different
+    instrument kind raises [Invalid_argument]. *)
 
 type t
 
@@ -59,6 +68,20 @@ val probe : t -> ?labels:labels -> string -> (unit -> float) -> unit
 (** [probe t name f] registers a gauge whose value is [f ()] polled at
     {!snapshot} time. *)
 
+type emit = string -> labels -> float -> unit
+(** [emit name labels value] adds one gauge entry to the snapshot being
+    taken. *)
+
+val source : t -> string -> (emit -> unit) -> unit
+(** [source t id poll] registers [poll] under [id]; every {!snapshot}
+    calls it once, and each [emit] becomes a {!Snapshot.Gauge} entry,
+    sorted in among the instruments. Registering an existing [id] again
+    replaces its closure. Keys are unique in a snapshot: where an emitted
+    key is also a registered instrument, the instrument's entry is kept;
+    where two sources emit one key, the later-registered source's entry
+    is kept, and within one source the first emission. Sources hold no
+    values, so {!reset} leaves them alone. *)
+
 val summary : t -> ?labels:labels -> string -> summary
 val observe : summary -> float -> unit
 
@@ -72,8 +95,8 @@ val series_points : series -> (float * float) list
 val series_length : series -> int
 
 val reset : t -> unit
-(** Zero every instrument in place (probes are unaffected); registrations
-    and handles stay valid. *)
+(** Zero every instrument in place (probes and sources are unaffected);
+    registrations and handles stay valid. *)
 
 (** {1 Snapshots} *)
 
@@ -104,7 +127,8 @@ module Snapshot : sig
 end
 
 val snapshot : t -> Snapshot.t
-(** Capture every instrument's current value; probes are polled here. *)
+(** Capture every instrument's current value; probes and sources are
+    polled here. *)
 
 val absorb : t -> ?labels:labels -> Snapshot.t -> unit
 (** [absorb t ~labels snap] merges a snapshot into [t], prefixing every

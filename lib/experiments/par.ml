@@ -25,6 +25,8 @@ type result = {
   sim_time_us : float;
   window_rounds : int;  (** 0 when sequential. *)
   lookahead_us : float;  (** 0 when sequential. *)
+  setup_s : float;
+  run_s : float;
   wall_s : float;
 }
 
@@ -75,6 +77,7 @@ let run ?(nodes = 256) ?(steps = 8) ?domains ?seed () =
   let topology = Simnet.Topology.of_spec ~nodes "torus2d" in
   let t0 = Unix.gettimeofday () in
   let world = Runtime.create_world ~seed ~topology ~domains ~nodes () in
+  let t1 = Unix.gettimeofday () in
   let topo = Simnet.Fabric.topology world.Runtime.fabric in
   (* Torus links are node-to-node; keep the guard in case a switch-based
      shape is ever substituted. *)
@@ -116,7 +119,7 @@ let run ?(nodes = 256) ?(steps = 8) ?domains ?seed () =
       (neighbors nid)
   done;
   Runtime.run world;
-  let wall_s = Unix.gettimeofday () -. t0 in
+  let setup_s = t1 -. t0 and run_s = Unix.gettimeofday () -. t1 in
   let sum a = Array.fold_left ( + ) 0 a in
   let sim_time_us =
     Array.fold_left
@@ -139,7 +142,9 @@ let run ?(nodes = 256) ?(steps = 8) ?domains ?seed () =
       (match Runtime.lookahead world with
       | None -> 0.
       | Some l -> Time_ns.to_us l);
-    wall_s;
+    setup_s;
+    run_s;
+    wall_s = setup_s +. run_s;
   }
 
 let ok r = r.errors = 0 && r.delivered = r.expected
@@ -156,8 +161,9 @@ let pp ppf r =
     (String.concat "x" (List.map string_of_int r.dims))
     r.nodes r.steps;
   Format.fprintf ppf
-    "  domains=%d lookahead=%.1fus window_rounds=%d wall=%.3fs%s@." r.domains
-    r.lookahead_us r.window_rounds r.wall_s
+    "  domains=%d lookahead=%.1fus window_rounds=%d wall=%.3fs setup=%.3fs \
+     run=%.3fs%s@."
+    r.domains r.lookahead_us r.window_rounds r.wall_s r.setup_s r.run_s
     (if ok r then ""
      else
        Printf.sprintf "  [%d/%d delivered, %d errors]" r.delivered r.expected
@@ -197,10 +203,10 @@ let perf_records ?(quick = false) ?(seed = 0) () =
   let nodes = if quick then 64 else 256 in
   let steps = if quick then 4 else 8 in
   [
-    Perf.meter ~id:record_seq (fun () ->
-        ignore (run ~nodes ~steps ~domains:1 ~seed ()));
-    Perf.meter ~id:record_par4 (fun () ->
-        ignore (run ~nodes ~steps ~domains:4 ~seed ()));
+    Perf.meter ~id:record_seq ~setup:(fun r -> r.setup_s) (fun () ->
+        run ~nodes ~steps ~domains:1 ~seed ());
+    Perf.meter ~id:record_par4 ~setup:(fun r -> r.setup_s) (fun () ->
+        run ~nodes ~steps ~domains:4 ~seed ());
   ]
 
 (* Aggregate events/sec ratio of the 4-domain run over the sequential

@@ -20,7 +20,11 @@ type result = {
   sim_time_us : float;
   window_rounds : int;  (** 0 when sequential. *)
   lookahead_us : float;  (** 0 when sequential. *)
-  wall_s : float;
+  setup_s : float;  (** Host seconds in [Runtime.create_world]. *)
+  run_s : float;
+      (** Host seconds from the built world to the end of the run:
+          scheduling the sends and running the engine. *)
+  wall_s : float;  (** [setup_s +. run_s]. *)
 }
 
 val run :
@@ -60,6 +64,7 @@ val record_par4 : string
 (** ["PAR.par4"] — the workload at 4 domains. *)
 
 val perf_records : ?quick:bool -> ?seed:int -> unit -> Perf.record list
+(** [PAR.seq] and [PAR.par4], each carrying its run's [setup_s]. *)
 
 val speedup : Perf.record list -> float option
 (** [events_per_sec] of [PAR.par4] over [PAR.seq], when both are present

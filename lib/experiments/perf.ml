@@ -8,6 +8,7 @@ type record = {
   sim_time_us : float;
   events_per_sec : float;
   peak_heap_words : int;
+  setup_s : float option;
 }
 
 (* Each runner is metered as a delta of the process-wide scheduler totals
@@ -17,13 +18,13 @@ type record = {
    process, so it reads as "peak heap so far", not a per-experiment
    figure. Wall time and heap words vary run to run; the sim-side fields
    (sim_events, fibers, sim_time_us) are deterministic for a fixed seed. *)
-let meter_once ~id f =
+let meter_once ~id ?setup f =
   (* Compact first so one experiment's garbage cannot charge the next
      one's wall clock with a major collection. *)
   Gc.compact ();
   let e0 = Scheduler.global_totals () in
   let t0 = Unix.gettimeofday () in
-  ignore (Sys.opaque_identity (f ()));
+  let result = Sys.opaque_identity (f ()) in
   let t1 = Unix.gettimeofday () in
   let e1 = Scheduler.global_totals () in
   let wall = t1 -. t0 in
@@ -37,21 +38,22 @@ let meter_once ~id f =
       Time_ns.to_us (Time_ns.sub e1.Scheduler.t_sim_time e0.Scheduler.t_sim_time);
     events_per_sec = (if wall > 0. then float_of_int events /. wall else 0.);
     peak_heap_words = (Gc.quick_stat ()).Gc.top_heap_words;
+    setup_s = Option.map (fun setup -> setup result) setup;
   }
 
 (* Best of three: the sim-side fields are deterministic, so repeats agree
    on them exactly and only the host-side fields differ; keeping the
    fastest repeat filters out wall-clock interference (GC pauses, a busy
    host), which a regression gate would otherwise misread. *)
-let meter ~id f =
+let meter ~id ?setup f =
   let rec best n acc =
     if n = 0 then acc
     else begin
-      let r = meter_once ~id f in
+      let r = meter_once ~id ?setup f in
       best (n - 1) (if r.events_per_sec > acc.events_per_sec then r else acc)
     end
   in
-  best 2 (meter_once ~id f)
+  best 2 (meter_once ~id ?setup f)
 
 let runners ~quick =
   let nth_table n () = List.nth (Tables.run ()) n in
@@ -141,10 +143,16 @@ let to_json records =
     (fun i r ->
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"id\": %S, \"wall_s\": %.6f, \"sim_events\": %d, \"fibers\": \
-            %d, \"sim_time_us\": %.3f, \"events_per_sec\": %.1f, \
+           "    {\"id\": %S, \"wall_s\": %.6f, %s\"sim_events\": %d, \
+            \"fibers\": %d, \"sim_time_us\": %.3f, \"events_per_sec\": %.1f, \
             \"peak_heap_words\": %d}%s\n"
-           r.id r.wall_s r.sim_events r.fibers r.sim_time_us r.events_per_sec
+           r.id r.wall_s
+           (match r.setup_s with
+           | None -> ""
+           | Some setup ->
+             Printf.sprintf "\"setup_s\": %.6f, \"run_s\": %.6f, " setup
+               (r.wall_s -. setup))
+           r.sim_events r.fibers r.sim_time_us r.events_per_sec
            r.peak_heap_words
            (if i = List.length records - 1 then "" else ",")))
     records;
@@ -321,6 +329,7 @@ let of_json_string text =
               peak_heap_words =
                 int_of_float
                   (Option.value ~default:0. (num "peak_heap_words" obj));
+              setup_s = num "setup_s" obj;
             }
         | _ -> None)
       | _ -> None

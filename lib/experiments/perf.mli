@@ -21,16 +21,22 @@ type record = {
   peak_heap_words : int;
       (** GC [top_heap_words] after the run. Monotone across the process:
           peak heap so far, not a per-experiment figure. *)
+  setup_s : float option;
+      (** The world set-up share of [wall_s], for runners that time it
+          ([PAR.*]); the JSON then also carries [run_s = wall_s -.
+          setup_s]. *)
 }
 
 val ids : string list
 (** Every experiment id, in report order. *)
 
-val meter : id:string -> (unit -> 'a) -> record
+val meter : id:string -> ?setup:('a -> float) -> (unit -> 'a) -> record
 (** Meter one runner as a delta of the process-wide scheduler totals:
     best of three repeats (after a [Gc.compact] each), so host noise
     does not masquerade as a regression. Other experiment families
-    (e.g. the benchmark matrix) build their records with this. *)
+    (e.g. the benchmark matrix) build their records with this. [setup]
+    reads the set-up seconds out of the runner's result into
+    [setup_s]. *)
 
 val all : ?quick:bool -> unit -> record list
 (** Run and meter every experiment; each is run three times (after a

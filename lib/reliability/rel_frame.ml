@@ -24,27 +24,29 @@ let seal buf =
   Bytes.set_int32_le buf body
     (Int32.of_int (Simnet.Crc32c.digest ~pos:0 ~len:body buf))
 
-let encode frame =
+let encode_data ~seq payload =
   let ck = if Simnet.Integrity.is_enabled () then checksum_size else 0 in
-  let buf =
-    match frame with
-    | Data { seq; payload } ->
-      let buf = Bytes.create (header_size + Bytes.length payload + ck) in
-      Bytes.set_uint8 buf 0 magic;
-      Bytes.set_uint8 buf 1 (if ck > 0 then kind_data_crc else kind_data);
-      Bytes.set_int64_le buf 2 (Int64.of_int seq);
-      Bytes.blit payload 0 buf header_size (Bytes.length payload);
-      buf
-    | Ack { cum_ack; sack } ->
-      let buf = Bytes.create (18 + ck) in
-      Bytes.set_uint8 buf 0 magic;
-      Bytes.set_uint8 buf 1 (if ck > 0 then kind_ack_crc else kind_ack);
-      Bytes.set_int64_le buf 2 (Int64.of_int cum_ack);
-      Bytes.set_int64_le buf 10 sack;
-      buf
-  in
+  let buf = Bytes.create (header_size + Bytes.length payload + ck) in
+  Bytes.set_uint8 buf 0 magic;
+  Bytes.set_uint8 buf 1 (if ck > 0 then kind_data_crc else kind_data);
+  Bytes.set_int64_le buf 2 (Int64.of_int seq);
+  Bytes.blit payload 0 buf header_size (Bytes.length payload);
   if ck > 0 then seal buf;
   buf
+
+let encode_ack ~cum_ack ~sack =
+  let ck = if Simnet.Integrity.is_enabled () then checksum_size else 0 in
+  let buf = Bytes.create (18 + ck) in
+  Bytes.set_uint8 buf 0 magic;
+  Bytes.set_uint8 buf 1 (if ck > 0 then kind_ack_crc else kind_ack);
+  Bytes.set_int64_le buf 2 (Int64.of_int cum_ack);
+  Bytes.set_int64_le buf 10 sack;
+  if ck > 0 then seal buf;
+  buf
+
+let encode = function
+  | Data { seq; payload } -> encode_data ~seq payload
+  | Ack { cum_ack; sack } -> encode_ack ~cum_ack ~sack
 
 let check_crc buf =
   let body = Bytes.length buf - checksum_size in
@@ -52,13 +54,19 @@ let check_crc buf =
   if Simnet.Crc32c.digest ~pos:0 ~len:body buf = stored then Ok ()
   else Error (Corrupt "rel frame: checksum mismatch")
 
-let decode buf =
+type kind = Data_frame | Ack_frame
+
+let protected_ buf =
+  let kind = Bytes.get_uint8 buf 1 in
+  kind = kind_data_crc || kind = kind_ack_crc
+
+let inspect buf =
   let len = Bytes.length buf in
   if len < 1 || Bytes.get_uint8 buf 0 <> magic then Error Not_ours
   else if len < 2 then Error (Corrupt "rel frame: truncated header")
   else
     let kind = Bytes.get_uint8 buf 1 in
-    let protected_ = kind = kind_data_crc || kind = kind_ack_crc in
+    let protected_ = protected_ buf in
     if (not protected_) && (kind = kind_data || kind = kind_ack)
        && Simnet.Integrity.is_enabled ()
     then Error (Corrupt "rel frame: unprotected frame while integrity enabled")
@@ -71,29 +79,36 @@ let decode buf =
       | Ok () ->
         if kind = kind_data || kind = kind_data_crc then
           if len < header_size then Error (Corrupt "rel frame: truncated header")
-          else
-            let tail = if protected_ then checksum_size else 0 in
-            Ok
-              (Data
-                 {
-                   seq = Int64.to_int (Bytes.get_int64_le buf 2);
-                   payload = Bytes.sub buf header_size (len - header_size - tail);
-                 })
+          else Ok Data_frame
         else if kind = kind_ack || kind = kind_ack_crc then
           if len < 18 + (if protected_ then checksum_size else 0) then
             Error (Corrupt "rel frame: truncated ack")
-          else
-            Ok
-              (Ack
-                 {
-                   cum_ack = Int64.to_int (Bytes.get_int64_le buf 2);
-                   sack = Bytes.get_int64_le buf 10;
-                 })
+          else Ok Ack_frame
         else Error (Corrupt "rel frame: unknown kind")
+
+let seq buf = Int64.to_int (Bytes.get_int64_le buf 2)
+
+let payload buf =
+  let tail = if protected_ buf then checksum_size else 0 in
+  Bytes.sub buf header_size (Bytes.length buf - header_size - tail)
 
 let sack_mem ~sack ~cum_ack seq =
   let i = seq - cum_ack - 1 in
   i >= 0 && i < 64 && Int64.logand sack (Int64.shift_left 1L i) <> 0L
+
+(* [sack_mem]'s test, repeated so that the bitmap is read unboxed. *)
+let acks buf s =
+  let cum_ack = seq buf in
+  s <= cum_ack
+  ||
+  let i = s - cum_ack - 1 in
+  i < 64 && Int64.logand (Bytes.get_int64_le buf 10) (Int64.shift_left 1L i) <> 0L
+
+let decode buf =
+  match inspect buf with
+  | Error e -> Error e
+  | Ok Data_frame -> Ok (Data { seq = seq buf; payload = payload buf })
+  | Ok Ack_frame -> Ok (Ack { cum_ack = seq buf; sack = Bytes.get_int64_le buf 10 })
 
 let sack_of_seqs ~cum_ack seqs =
   List.fold_left

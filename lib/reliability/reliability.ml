@@ -52,12 +52,21 @@ type tx = {
 (* Receiver half of one (src, dst) direction. *)
 type rx = { mutable expected : int; ooo : (int, bytes) Hashtbl.t }
 
+(* Per-direction state keyed by the (src, dst) pair, hashed through
+   [Proc_id.hash] rather than the polymorphic hash of the tuple. *)
+module Pairs = Hashtbl.Make (struct
+  type t = Simnet.Proc_id.t * Simnet.Proc_id.t
+
+  let equal (a, b) (c, d) = Simnet.Proc_id.equal a c && Simnet.Proc_id.equal b d
+  let hash (a, b) = (Simnet.Proc_id.hash a * 31) + Simnet.Proc_id.hash b
+end)
+
 type t = {
   fabric : Simnet.Fabric.t;
   cfg : config;
   sched : Scheduler.t;
-  txs : (Simnet.Proc_id.t * Simnet.Proc_id.t, tx) Hashtbl.t;
-  rxs : (Simnet.Proc_id.t * Simnet.Proc_id.t, rx) Hashtbl.t;
+  txs : tx Pairs.t;
+  rxs : rx Pairs.t;
   mutable inflight_total : int;
   mutable give_up :
     src:Simnet.Proc_id.t -> dst:Simnet.Proc_id.t -> seq:int -> unit;
@@ -98,7 +107,7 @@ let sample_window t =
     ~y:(float_of_int t.inflight_total)
 
 let tx_of t ~src ~dst =
-  match Hashtbl.find_opt t.txs (src, dst) with
+  match Pairs.find_opt t.txs (src, dst) with
   | Some tx -> tx
   | None ->
     let tx =
@@ -106,27 +115,31 @@ let tx_of t ~src ~dst =
         tx_src = src;
         tx_dst = dst;
         next_seq = 0;
-        unacked = Hashtbl.create 64;
+        (* A pair rarely has more than a frame or two in flight, so the
+           table starts minimal; [on_ack] fixes its own sample order. *)
+        unacked = Hashtbl.create 1;
         pending = Queue.create ();
         rto = t.cfg.base_rto;
         srtt_us = 0.;
         timer_gen = 0;
       }
     in
-    Hashtbl.replace t.txs (src, dst) tx;
+    Pairs.replace t.txs (src, dst) tx;
     tx
 
 let rx_of t ~src ~dst =
-  match Hashtbl.find_opt t.rxs (src, dst) with
+  match Pairs.find_opt t.rxs (src, dst) with
   | Some rx -> rx
   | None ->
-    let rx = { expected = 0; ooo = Hashtbl.create 64 } in
-    Hashtbl.replace t.rxs (src, dst) rx;
+    (* Out-of-order arrivals are rare and every use of [ooo] ignores
+       its iteration order, so it starts minimal. *)
+    let rx = { expected = 0; ooo = Hashtbl.create 1 } in
+    Pairs.replace t.rxs (src, dst) rx;
     rx
 
 let send_data_frame t tx entry =
   Simnet.Fabric.send_raw t.fabric ~src:tx.tx_src ~dst:tx.tx_dst
-    (Frame.encode (Frame.Data { seq = entry.e_seq; payload = entry.e_payload }))
+    (Frame.encode_data ~seq:entry.e_seq entry.e_payload)
 
 (* --- retransmission timer --------------------------------------------- *)
 
@@ -229,16 +242,26 @@ let update_rtt t tx entry =
         (Time_ns.min t.cfg.max_rto (Time_ns.us (2. *. tx.srtt_us)))
   end
 
-let on_ack t ~src ~dst ~cum_ack ~sack =
+(* The order in which one ack's RTT samples reach [srtt]: descending
+   [Hashtbl.hash seq land 63], then ascending seq. It is the order in which
+   [unacked] used to fold them as a 64-bucket table (which never resizes
+   while the window is at most 128), kept so that the table's size does not
+   change simulated results. *)
+let ack_order a b =
+  let bucket e = Hashtbl.hash e.e_seq land 63 in
+  match Int.compare (bucket b) (bucket a) with
+  | 0 -> Int.compare a.e_seq b.e_seq
+  | c -> c
+
+let on_ack t ~src ~dst frame =
   (* The ack travels receiver -> sender, so the data direction it acks is
      (dst, src). *)
   let tx = tx_of t ~src:dst ~dst:src in
   let acked =
     Hashtbl.fold
-      (fun seq e acc ->
-        if seq <= cum_ack || Frame.sack_mem ~sack ~cum_ack seq then e :: acc
-        else acc)
+      (fun seq e acc -> if Frame.acks frame seq then e :: acc else acc)
       tx.unacked []
+    |> List.sort ack_order
   in
   List.iter
     (fun e ->
@@ -261,20 +284,21 @@ let send_ack t ~me ~peer rx =
   let seqs = Hashtbl.fold (fun seq _ acc -> seq :: acc) rx.ooo [] in
   let sack = Frame.sack_of_seqs ~cum_ack seqs in
   Simnet.Fabric.send_raw t.fabric ~src:me ~dst:peer
-    (Frame.encode (Frame.Ack { cum_ack; sack }))
+    (Frame.encode_ack ~cum_ack ~sack)
 
 let deliver_up t ~src ~dst payload =
   Metrics.incr t.m_delivered;
   Simnet.Fabric.deliver t.fabric ~src ~dst payload
 
-let on_data t ~src ~dst ~seq payload =
+let on_data t ~src ~dst frame =
+  let seq = Frame.seq frame in
   let rx = rx_of t ~src ~dst in
   if seq < rx.expected || Hashtbl.mem rx.ooo seq then
     (* Duplicate (a retransmission that crossed our ack): suppress, but
        re-ack so the sender stops resending. *)
     Metrics.incr t.m_dup_drops
   else if seq = rx.expected then begin
-    deliver_up t ~src ~dst payload;
+    deliver_up t ~src ~dst (Frame.payload frame);
     rx.expected <- rx.expected + 1;
     (* Drain any buffered successors that are now in order. *)
     let rec drain () =
@@ -288,13 +312,15 @@ let on_data t ~src ~dst ~seq payload =
     in
     drain ()
   end
-  else Hashtbl.replace rx.ooo seq payload;
+  else Hashtbl.replace rx.ooo seq (Frame.payload frame);
   send_ack t ~me:dst ~peer:src rx
 
 let on_wire t ~src ~dst payload =
-  match Frame.decode payload with
-  | Ok (Frame.Data { seq; payload }) -> on_data t ~src ~dst ~seq payload
-  | Ok (Frame.Ack { cum_ack; sack }) -> on_ack t ~src ~dst ~cum_ack ~sack
+  (* Frames are read in place: the payload is copied out only for
+     delivery, and no decoded frame is built. *)
+  match Frame.inspect payload with
+  | Ok Frame.Data_frame -> on_data t ~src ~dst payload
+  | Ok Frame.Ack_frame -> on_ack t ~src ~dst payload
   | Error Frame.Not_ours ->
     (* Not ours — a message injected below the shim (e.g. directly via
        send_raw in a test). Pass it through untouched. *)
@@ -326,12 +352,12 @@ let forget_node t nid =
     a.Simnet.Proc_id.nid = nid || b.Simnet.Proc_id.nid = nid
   in
   let tx_victims =
-    Hashtbl.fold
+    Pairs.fold
       (fun k tx acc -> if involved k then (k, tx) :: acc else acc)
       t.txs []
   in
   let rx_victims =
-    Hashtbl.fold (fun k _ acc -> if involved k then k :: acc else acc) t.rxs []
+    Pairs.fold (fun k _ acc -> if involved k then k :: acc else acc) t.rxs []
   in
   List.iter
     (fun (k, tx) ->
@@ -339,9 +365,9 @@ let forget_node t nid =
       let lost = Hashtbl.length tx.unacked + Queue.length tx.pending in
       t.inflight_total <- t.inflight_total - Hashtbl.length tx.unacked;
       if lost > 0 then Metrics.add t.m_peer_reset_lost lost;
-      Hashtbl.remove t.txs k)
+      Pairs.remove t.txs k)
     tx_victims;
-  List.iter (Hashtbl.remove t.rxs) rx_victims;
+  List.iter (Pairs.remove t.rxs) rx_victims;
   if tx_victims <> [] || rx_victims <> [] then begin
     Metrics.incr t.m_peer_resets;
     sample_window t
@@ -362,8 +388,8 @@ let attach ?(config = default_config) fabric =
       fabric;
       cfg = config;
       sched;
-      txs = Hashtbl.create 64;
-      rxs = Hashtbl.create 64;
+      txs = Pairs.create 64;
+      rxs = Pairs.create 64;
       inflight_total = 0;
       give_up = (fun ~src:_ ~dst:_ ~seq:_ -> ());
       m_data = Metrics.counter m ~labels "rel.data_sent";

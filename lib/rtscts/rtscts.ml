@@ -71,9 +71,7 @@ let create ?config fabric =
       cfg;
       sched;
       pairs = Hashtbl.create 64;
-      kcopy =
-        Array.init (Simnet.Fabric.node_count fabric) (fun nid ->
-            Simnet.Link.create ~name:(Printf.sprintf "kcopy%d" nid) sched);
+      kcopy = Simnet.Transport.node_engines fabric "kcopy";
       uppers = Hashtbl.create 64;
       assemblies = Hashtbl.create 64;
       st =

@@ -130,10 +130,8 @@ let create ?(topology = Topology.Full) ?queue_limit sched ~profile ~nodes =
   if nodes <= 0 then invalid_arg "Fabric.create: need at least one node";
   let topo = Topology.build topology ~nodes in
   let hop_links =
-    Array.init (Topology.link_count topo) (fun id ->
-        Link.create
-          ~name:(Topology.link_name topo id)
-          ~bandwidth:profile.Profile.wire_bandwidth
+    Array.init (Topology.link_count topo) (fun _ ->
+        Link.create ~bandwidth:profile.Profile.wire_bandwidth
           ~latency:profile.Profile.wire_latency ?queue_limit sched)
   in
   let t =
@@ -172,6 +170,18 @@ let create ?(topology = Topology.Full) ?queue_limit sched ~profile ~nodes =
     }
   in
   let m = Scheduler.metrics sched in
+  (* Every node's CPU and injection link and every hop link, published
+     by one source: labels (hop-link names included) are built only when
+     a snapshot is taken. *)
+  Metrics.source m "fabric" (fun emit ->
+      Array.iteri
+        (fun nid n ->
+          Cpu.publish (Node.host_cpu n) emit;
+          Link.publish (Node.tx_link n) emit ("link" ^ string_of_int nid))
+        t.nodes;
+      Array.iteri
+        (fun id l -> Link.publish l emit (Topology.link_name topo id))
+        t.hop_links);
   let probe name f = Metrics.probe m name (fun () -> float_of_int (f ())) in
   probe "fabric.sent" (fun () -> t.sent);
   probe "fabric.sent_bytes" (fun () -> t.sent_bytes);

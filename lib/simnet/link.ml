@@ -8,7 +8,6 @@ let no_flow = -1
 
 type t = {
   sched : Scheduler.t;
-  link_name : string;
   bandwidth : float option;
   latency : Time_ns.t;
   queue_limit : int option;
@@ -32,46 +31,40 @@ type t = {
   mutable peak_flows : int;
 }
 
-let create ?(name = "link") ?bandwidth ?(latency = Time_ns.zero) ?queue_limit
-    sched =
-  let t =
-    {
-      sched;
-      link_name = name;
-      bandwidth;
-      latency;
-      queue_limit;
-      free_at = Time_ns.zero;
-      busy = Time_ns.zero;
-      ring = [||];
-      head = 0;
-      outstanding = 0;
-      peak_outstanding = 0;
-      drops = 0;
-      hook = None;
-      flows = Hashtbl.create (if bandwidth = None then 1 else 8);
-      peak_flows = 0;
-    }
-  in
-  let m = Scheduler.metrics sched in
+let create ?bandwidth ?(latency = Time_ns.zero) ?queue_limit sched =
+  {
+    sched;
+    bandwidth;
+    latency;
+    queue_limit;
+    free_at = Time_ns.zero;
+    busy = Time_ns.zero;
+    ring = [||];
+    head = 0;
+    outstanding = 0;
+    peak_outstanding = 0;
+    drops = 0;
+    hook = None;
+    flows = Hashtbl.create (if bandwidth = None then 1 else 8);
+    peak_flows = 0;
+  }
+
+let publish t (emit : Metrics.emit) name =
   let labels = [ ("link", name) ] in
-  Metrics.probe m ~labels "link.busy_us" (fun () -> Time_ns.to_us t.busy);
-  Metrics.probe m ~labels "link.utilization" (fun () ->
-      let now = Time_ns.to_us (Scheduler.now sched) in
-      if now <= 0. then 0. else Time_ns.to_us t.busy /. now);
-  if bandwidth <> None then begin
-    Metrics.probe m ~labels "link.busy_ns" (fun () -> float_of_int t.busy);
-    Metrics.probe m ~labels "link.queue_depth" (fun () ->
-        float_of_int t.peak_outstanding);
-    Metrics.probe m ~labels "link.flows" (fun () -> float_of_int t.peak_flows);
-    Metrics.probe m ~labels "link.congestion_drops" (fun () ->
-        float_of_int t.drops)
-  end;
-  t
+  let busy_us = Time_ns.to_us t.busy in
+  emit "link.busy_us" labels busy_us;
+  let now = Time_ns.to_us (Scheduler.now t.sched) in
+  emit "link.utilization" labels (if now <= 0. then 0. else busy_us /. now);
+  if t.bandwidth <> None then begin
+    emit "link.busy_ns" labels (float_of_int t.busy);
+    emit "link.queue_depth" labels (float_of_int t.peak_outstanding);
+    emit "link.flows" labels (float_of_int t.peak_flows);
+    emit "link.congestion_drops" labels (float_of_int t.drops)
+  end
 
 let occupy t d =
   if Time_ns.compare d Time_ns.zero < 0 then
-    invalid_arg (t.link_name ^ ": negative occupancy");
+    invalid_arg "Link.occupy: negative occupancy";
   let start = Time_ns.max (Scheduler.now t.sched) t.free_at in
   let finish = Time_ns.add start d in
   t.free_at <- finish;
@@ -132,7 +125,7 @@ let transmit t ?(flow = no_flow) ~bytes () =
   let bandwidth =
     match t.bandwidth with
     | Some bw -> bw
-    | None -> invalid_arg (t.link_name ^ ": transmit on a link with no bandwidth")
+    | None -> invalid_arg "Link.transmit: the link has no bandwidth"
   in
   release t;
   let congested =
@@ -156,7 +149,6 @@ let transmit t ?(flow = no_flow) ~bytes () =
   end
 
 let on_congestion t hook = t.hook <- Some hook
-let name t = t.link_name
 let free_at t = t.free_at
 let busy_time t = t.busy
 

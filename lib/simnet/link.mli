@@ -29,14 +29,16 @@ type congestion = {
 (** Passed to the hook installed with {!on_congestion}. *)
 
 val create :
-  ?name:string ->
   ?bandwidth:float ->
   ?latency:Sim_engine.Time_ns.t ->
   ?queue_limit:int ->
   Sim_engine.Scheduler.t ->
   t
-(** [create sched] registers ["link.busy_us"] and ["link.utilization"]
-    probes labelled [("link", name)] in the scheduler's metrics registry.
+(** [create sched] is an idle link. It registers nothing: whoever owns
+    the link publishes it under a name with {!publish}, from a metrics
+    source polled at snapshot time, so a fabric of thousands of links
+    costs no per-link registration and builds no name until a snapshot
+    asks for one.
 
     [bandwidth] (bytes/s) and [latency] (propagation delay, default 0)
     are used by {!transmit}; [queue_limit] bounds the number of
@@ -44,14 +46,18 @@ val create :
     those queued behind it) before further traffic is dropped — [None]
     (default) queues without bound, i.e. pure backpressure.
 
-    A link with a [bandwidth] (the topology hop links) also registers
-    ["link.queue_depth"] (peak outstanding transmissions), ["link.flows"]
-    (peak concurrent distinct flows), ["link.busy_ns"] and
-    ["link.congestion_drops"] probes. The counts behind them are kept
-    lazily: a transmission leaves the link's books at the first
-    {!transmit} or {!queue_depth} after the scheduler has passed its
-    completion, in scheduler (time, sequence) order, so they cost no
-    scheduler event. *)
+    The counts behind a bandwidth link's statistics are kept lazily: a
+    transmission leaves the link's books at the first {!transmit} or
+    {!queue_depth} after the scheduler has passed its completion, in
+    scheduler (time, sequence) order, so they cost no scheduler
+    event. *)
+
+val publish : t -> Sim_engine.Metrics.emit -> string -> unit
+(** [publish t emit name] emits the link's gauges labelled
+    [("link", name)]: ["link.busy_us"] and ["link.utilization"], and for
+    a link with a [bandwidth] (the topology hop links) also
+    ["link.busy_ns"], ["link.queue_depth"] ({!peak_queue_depth}),
+    ["link.flows"] ({!peak_flows}) and ["link.congestion_drops"]. *)
 
 val occupy : t -> Sim_engine.Time_ns.t -> Sim_engine.Time_ns.t
 (** [occupy t d] reserves the resource for duration [d] starting at the
@@ -82,8 +88,6 @@ val on_congestion : t -> (congestion -> unit) -> unit
     is bumped). The fabric uses it for drop accounting; tests and
     backpressure schemes can observe overload pointwise. At most one
     hook; installing replaces the previous one. *)
-
-val name : t -> string
 
 val free_at : t -> Sim_engine.Time_ns.t
 (** The instant the resource next becomes free. *)

@@ -7,13 +7,15 @@ type kind =
 
 type link = { link_id : int; src_v : int; dst_v : int }
 
+module Edges = Hashtbl.Make (Int)
+
 type t = {
   kind : kind;
   topo_nodes : int;
   vertices : int;
   links : link array;
-  (* (src_v, dst_v) -> link_id for adjacent vertex pairs. *)
-  edge_index : (int * int, int) Hashtbl.t;
+  (* (src_v * vertices + dst_v) -> link_id for adjacent vertex pairs. *)
+  edge_index : int Edges.t;
   (* vertex -> neighbour vertices in construction order. *)
   adj : int list array;
 }
@@ -28,7 +30,10 @@ let link t id =
     invalid_arg (Printf.sprintf "Topology.link: id %d out of range" id);
   t.links.(id)
 
-let find_link t ~src_v ~dst_v = Hashtbl.find_opt t.edge_index (src_v, dst_v)
+let find_link t ~src_v ~dst_v =
+  if src_v < 0 || dst_v < 0 || src_v >= t.vertices || dst_v >= t.vertices then
+    None
+  else Edges.find_opt t.edge_index ((src_v * t.vertices) + dst_v)
 
 let neighbors t v =
   if v < 0 || v >= t.vertices then
@@ -38,12 +43,12 @@ let neighbors t v =
   else List.rev t.adj.(v)
 
 let vertex_name t v =
-  if v < t.topo_nodes then Printf.sprintf "node%d" v
-  else Printf.sprintf "sw%d" (v - t.topo_nodes)
+  if v < t.topo_nodes then "node" ^ string_of_int v
+  else "sw" ^ string_of_int (v - t.topo_nodes)
 
 let link_name t id =
   let l = link t id in
-  Printf.sprintf "%s->%s" (vertex_name t l.src_v) (vertex_name t l.dst_v)
+  String.concat "" [ vertex_name t l.src_v; "->"; vertex_name t l.dst_v ]
 
 let dims t =
   match t.kind with
@@ -83,13 +88,15 @@ let of_coords t cs =
 type builder = {
   mutable blinks : link list;
   mutable n : int;
-  bindex : (int * int, int) Hashtbl.t;
+  bvertices : int;
+  bindex : int Edges.t;
   badj : int list array;
 }
 
 let add_link b ~src_v ~dst_v =
-  if not (Hashtbl.mem b.bindex (src_v, dst_v)) then begin
-    Hashtbl.replace b.bindex (src_v, dst_v) b.n;
+  let key = (src_v * b.bvertices) + dst_v in
+  if not (Edges.mem b.bindex key) then begin
+    Edges.replace b.bindex key b.n;
     b.blinks <- { link_id = b.n; src_v; dst_v } :: b.blinks;
     b.badj.(src_v) <- dst_v :: b.badj.(src_v);
     b.n <- b.n + 1
@@ -99,11 +106,11 @@ let add_bidi b v u =
   add_link b ~src_v:v ~dst_v:u;
   add_link b ~src_v:u ~dst_v:v
 
-let finish kind ~nodes ~vertices b =
+let finish kind ~nodes b =
   {
     kind;
     topo_nodes = nodes;
-    vertices;
+    vertices = b.bvertices;
     links = Array.of_list (List.rev b.blinks);
     edge_index = b.bindex;
     adj = b.badj;
@@ -113,7 +120,8 @@ let builder vertices =
   {
     blinks = [];
     n = 0;
-    bindex = Hashtbl.create 64;
+    bvertices = vertices;
+    bindex = Edges.create 64;
     badj = Array.make (max vertices 1) [];
   }
 
@@ -127,7 +135,7 @@ let build_torus kind ~nodes ds =
          (String.concat "x" (List.map string_of_int ds))
          nodes);
   let b = builder nodes in
-  let t0 = finish kind ~nodes ~vertices:nodes b in
+  let t0 = finish kind ~nodes b in
   (* Wire each node to its ±1 neighbour in every dimension (wraparound).
      Dimensions of size 1 contribute no links; size 2 contributes one
      bidirectional link (+1 and -1 coincide, deduplicated by add_link). *)
@@ -145,7 +153,7 @@ let build_torus kind ~nodes ds =
         end)
       (dims t0)
   done;
-  finish kind ~nodes ~vertices:nodes b
+  finish kind ~nodes b
 
 (* k-ary fat-tree (k even): k pods, each with k/2 edge and k/2 aggregation
    switches; (k/2)^2 core switches; k^3/4 hosts, k/2 per edge switch.
@@ -181,7 +189,7 @@ let build_fat_tree ~nodes k =
       done
     done
   done;
-  finish (Fat_tree k) ~nodes ~vertices b
+  finish (Fat_tree k) ~nodes b
 
 let build kind ~nodes =
   if nodes <= 0 then invalid_arg "Topology.build: need at least one node";
@@ -189,7 +197,7 @@ let build kind ~nodes =
   | Full ->
     (* The fully-connected fabric keeps the seed's private-wire model:
        no shared hop links exist, so the link table is empty. *)
-    finish Full ~nodes ~vertices:nodes (builder nodes)
+    finish Full ~nodes (builder nodes)
   | Ring ->
     if nodes < 2 then invalid_arg "Topology.build: ring needs >= 2 nodes";
     build_torus Ring ~nodes [ nodes ]

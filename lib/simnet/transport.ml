@@ -21,18 +21,22 @@ type t = {
 
 let host_cpu_of fabric nid = Node.host_cpu (Fabric.node fabric nid)
 
-(* One receive engine (DMA or kernel-copy pipeline) per node: messages
-   land in arrival order even when a small message tails a large one —
-   the in-order guarantee of §2 must survive the landing stage. *)
-let rx_engines fabric =
+let node_engines fabric prefix =
   let sched = Fabric.sched fabric in
-  Array.init (Fabric.node_count fabric) (fun nid ->
-      Link.create ~name:(Printf.sprintf "rx%d" nid) sched)
+  let links = Array.init (Fabric.node_count fabric) (fun _ -> Link.create sched) in
+  Metrics.source (Scheduler.metrics sched) prefix (fun emit ->
+      Array.iteri
+        (fun nid l -> Link.publish l emit (prefix ^ string_of_int nid))
+        links);
+  links
 
 let offload fabric =
   let profile = Fabric.profile fabric in
   let sched = Fabric.sched fabric in
-  let engines = rx_engines fabric in
+  (* One receive engine (DMA pipeline) per node: messages land in arrival
+     order even when a small message tails a large one — the in-order
+     guarantee of §2 must survive the landing stage. *)
+  let engines = node_engines fabric "rx" in
   {
     sched;
     name = profile.Profile.name ^ "/offload";
@@ -76,14 +80,11 @@ let offload fabric =
 let kernel_interrupt fabric =
   let profile = Fabric.profile fabric in
   let sched = Fabric.sched fabric in
-  let engines = rx_engines fabric in
+  let engines = node_engines fabric "rx" in
   (* The kernel send path (syscall + bounce copy) is also a serialising
      stage — without it a small send would reach the wire before a large
      one posted just ahead of it. *)
-  let tx_engines =
-    Array.init (Fabric.node_count fabric) (fun nid ->
-        Link.create ~name:(Printf.sprintf "ktx%d" nid) sched)
-  in
+  let tx_engines = node_engines fabric "ktx" in
   let charge_rx nid cost = Cpu.steal (host_cpu_of fabric nid) cost in
   {
     sched;

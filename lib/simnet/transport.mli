@@ -52,6 +52,13 @@ type t = {
       (** Subscribe to restart notifications (see [Fabric.on_restart]). *)
 }
 
+val node_engines : Fabric.t -> string -> Link.t array
+(** [node_engines fabric prefix] is one serialising {!Link} per node — a
+    receive DMA engine, a kernel copy pipeline — published together as
+    the metrics source [prefix], node [nid]'s link labelled
+    [prefix ^ string_of_int nid] (["rx3"]). A later call with the same
+    prefix on the same fabric replaces the earlier engines' entries. *)
+
 val offload : Fabric.t -> t
 (** NIC-space placement (the MCP): receive processing runs on the LANai at
     NIC cost rates; the host CPU is never touched on receive; payload lands

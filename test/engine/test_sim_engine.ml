@@ -865,6 +865,117 @@ let metrics_tests =
           = 0));
   ]
 
+(* A source whose closure holds the only reference to a fresh cell,
+   tracked by a weak pointer, so a test can see when it is released. *)
+let[@inline never] register_tracked_source m id weak =
+  let cell = ref 7.0 in
+  Weak.set weak 0 (Some cell);
+  Metrics.source m id (fun emit -> emit "held" [] !cell)
+
+let source_tests =
+  let keys snap =
+    List.map
+      (fun (e : Metrics.Snapshot.entry) -> (e.Metrics.Snapshot.name, e.labels))
+      snap
+  in
+  let gauge snap ?labels name =
+    match Metrics.Snapshot.find snap ?labels name with
+    | Some (Metrics.Snapshot.Gauge g) -> g
+    | Some _ -> Alcotest.failf "%s: not a gauge" name
+    | None -> Alcotest.failf "%s: missing" name
+  in
+  let entries =
+    [
+      ("link.busy_us", [ ("link", "link1") ], 2.0);
+      ("cpu.occupancy", [ ("cpu", "cpu0") ], 0.5);
+      ("link.busy_us", [ ("link", "link0") ], 1.0);
+      ("ni.drops", [ ("reason", "no_match"); ("proc", "0:0") ], 3.0);
+      ("ni.drops", [ ("proc", "0:0"); ("reason", "acl") ], 4.0);
+    ]
+  in
+  [
+    Alcotest.test_case "source entries sort in like instruments" `Quick
+      (fun () ->
+        let with_probes = Metrics.create () in
+        let with_source = Metrics.create () in
+        List.iter
+          (fun m -> Metrics.add (Metrics.counter m "fabric.sent") 5)
+          [ with_probes; with_source ];
+        List.iter
+          (fun (name, labels, v) ->
+            Metrics.probe with_probes ~labels name (fun () -> v))
+          entries;
+        Metrics.source with_source "group" (fun emit ->
+            List.iter (fun (name, labels, v) -> emit name labels v) entries);
+        Alcotest.(check bool) "identical snapshots" true
+          (Metrics.snapshot with_probes = Metrics.snapshot with_source);
+        Alcotest.(check (list string)) "sorted by name, then labels"
+          [
+            "cpu.occupancy"; "fabric.sent"; "link.busy_us"; "link.busy_us";
+            "ni.drops"; "ni.drops";
+          ]
+          (List.map fst (keys (Metrics.snapshot with_source))));
+    Alcotest.test_case "re-registering an id replaces its entries" `Quick
+      (fun () ->
+        let m = Metrics.create () in
+        Metrics.source m "ni 0:0" (fun emit ->
+            emit "ni.puts" [ ("proc", "0:0") ] 1.0;
+            emit "ni.gets" [ ("proc", "0:0") ] 1.0);
+        Metrics.source m "ni 0:0" (fun emit ->
+            emit "ni.puts" [ ("proc", "0:0") ] 2.0);
+        let snap = Metrics.snapshot m in
+        Alcotest.(check int) "one entry" 1 (List.length snap);
+        Alcotest.(check (float 0.)) "latest wins" 2.0
+          (gauge snap ~labels:[ ("proc", "0:0") ] "ni.puts");
+        let weak = Weak.create 1 in
+        register_tracked_source m "tracked" weak;
+        Alcotest.(check (float 0.)) "polled" 7.0 (gauge (Metrics.snapshot m) "held");
+        Metrics.source m "tracked" (fun emit -> emit "held" [] 8.0);
+        Gc.full_major ();
+        Alcotest.(check bool) "old closure released" true (Weak.get weak 0 = None);
+        Alcotest.(check (float 0.)) "rebound" 8.0 (gauge (Metrics.snapshot m) "held"));
+    Alcotest.test_case "reset leaves sources alone" `Quick (fun () ->
+        let m = Metrics.create () in
+        let c = Metrics.counter m "n" in
+        Metrics.add c 4;
+        let v = ref 3.0 in
+        Metrics.source m "s" (fun emit -> emit "s.value" [] !v);
+        Metrics.reset m;
+        let snap = Metrics.snapshot m in
+        Alcotest.(check int) "counter zeroed" 0 (Metrics.counter_value c);
+        Alcotest.(check (float 0.)) "source still polled" 3.0 (gauge snap "s.value");
+        v := 5.0;
+        Alcotest.(check (float 0.)) "reads live state" 5.0
+          (gauge (Metrics.snapshot m) "s.value"));
+    Alcotest.test_case "absorb takes source entries as gauges" `Quick (fun () ->
+        let world = Metrics.create () in
+        Metrics.source world "fabric" (fun emit ->
+            emit "link.busy_us" [ ("link", "link0") ] 1.5);
+        let agg = Metrics.create () in
+        Metrics.absorb agg ~labels:[ ("config", "a") ] (Metrics.snapshot world);
+        Metrics.absorb agg ~labels:[ ("config", "b") ] (Metrics.snapshot world);
+        let snap = Metrics.snapshot agg in
+        Alcotest.(check int) "one entry per config" 2 (List.length snap);
+        Alcotest.(check (float 0.)) "labels prefixed" 1.5
+          (gauge snap ~labels:[ ("config", "b"); ("link", "link0") ] "link.busy_us"));
+    Alcotest.test_case "key clashes: instrument, then latest source" `Quick
+      (fun () ->
+        let m = Metrics.create () in
+        Metrics.add (Metrics.counter m "k") 9;
+        Metrics.source m "first" (fun emit -> emit "k" [] 1.0; emit "j" [] 1.0);
+        Metrics.source m "second" (fun emit -> emit "j" [] 2.0);
+        let snap = Metrics.snapshot m in
+        Alcotest.(check (list (pair string (list (pair string string)))))
+          "each key once" [ ("j", []); ("k", []) ] (keys snap);
+        (match Metrics.Snapshot.find snap "k" with
+        | Some (Metrics.Snapshot.Counter 9) -> ()
+        | _ -> Alcotest.fail "the registered counter should win");
+        Alcotest.(check (float 0.)) "later source wins" 2.0 (gauge snap "j");
+        Metrics.source m "first" (fun emit -> emit "j" [] 3.0);
+        Alcotest.(check (float 0.)) "re-registration makes it latest" 3.0
+          (gauge (Metrics.snapshot m) "j"));
+  ]
+
 (* --- parallel shard runtime ------------------------------------------- *)
 
 let shard_tests =
@@ -990,5 +1101,6 @@ let () =
       ("stats", stats_tests);
       ("trace", trace_tests);
       ("metrics", metrics_tests);
+      ("sources", source_tests);
       ("shard", shard_tests);
     ]

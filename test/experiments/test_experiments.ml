@@ -440,6 +440,7 @@ let perf_tests =
       sim_time_us = 250.125;
       events_per_sec = eps;
       peak_heap_words = 4096;
+      setup_s = None;
     }
   in
   [

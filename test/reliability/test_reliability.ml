@@ -42,6 +42,37 @@ let frame_tests =
           (Result.is_error (Reliability.Frame.decode (Bytes.create 3)));
         Alcotest.(check bool) "bad magic" true
           (Result.is_error (Reliability.Frame.decode (Bytes.make 20 'x'))));
+    Alcotest.test_case "inspect reads frames in place" `Quick (fun () ->
+        let module F = Reliability.Frame in
+        let check_frames () =
+          let data = F.encode_data ~seq:7 (Bytes.of_string "xyz") in
+          (match F.inspect data with
+          | Ok F.Data_frame ->
+            Alcotest.(check int) "seq" 7 (F.seq data);
+            Alcotest.(check string) "payload" "xyz"
+              (Bytes.to_string (F.payload data))
+          | _ -> Alcotest.fail "data frame not accepted");
+          (* Bits 0, 2 and 63: seqs 4, 6 and 67 past cum_ack 3. *)
+          let sack = Int64.logor 0b101L Int64.min_int in
+          let ack = F.encode_ack ~cum_ack:3 ~sack in
+          (match F.inspect ack with
+          | Ok F.Ack_frame ->
+            Alcotest.(check int) "cum_ack" 3 (F.seq ack);
+            Alcotest.(check (list int)) "acked seqs" [ 0; 1; 2; 3; 4; 6; 67 ]
+              (List.filter (F.acks ack) (List.init 80 Fun.id))
+          | _ -> Alcotest.fail "ack frame not accepted");
+          Alcotest.(check bool) "garbage" true
+            (Result.is_error (F.inspect (Bytes.make 20 'x')))
+        in
+        check_frames ();
+        Simnet.Integrity.with_enabled true check_frames);
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"acks agrees with the decoded bitmap" ~count:200
+         QCheck.(triple (int_range (-1) 100) int64 (int_range 0 200))
+         (fun (cum_ack, sack, seq) ->
+           let buf = Reliability.Frame.encode_ack ~cum_ack ~sack in
+           Reliability.Frame.acks buf seq
+           = (seq <= cum_ack || Reliability.Frame.sack_mem ~sack ~cum_ack seq)));
     Alcotest.test_case "sack_of_seqs respects the 64-entry window" `Quick
       (fun () ->
         let sack = Reliability.Frame.sack_of_seqs ~cum_ack:10 [ 11; 74; 75; 200 ] in

@@ -294,7 +294,12 @@ let topology_tests =
           Alcotest.(check int) "dense ids" l link_id;
           Alcotest.(check (option int)) "find_link inverts" (Some l)
             (Topology.find_link t ~src_v ~dst_v)
-        done);
+        done;
+        (* Vertex 16 is out of range, not an alias of 1 -> 0. *)
+        Alcotest.(check (option int)) "out of range" None
+          (Topology.find_link t ~src_v:0 ~dst_v:16);
+        Alcotest.(check (option int)) "negative" None
+          (Topology.find_link t ~src_v:2 ~dst_v:(-16)));
     Alcotest.test_case "size-2 dimensions do not double links" `Quick
       (fun () ->
         let t = Topology.build (Torus2d (2, 2)) ~nodes:4 in
@@ -729,6 +734,123 @@ let fabric_topology_tests =
           !delivered;
         Alcotest.(check bool) "queue hit its bound" true
           (Fabric.peak_link_queue_depth fabric >= 2));
+  ]
+
+(* The fabric publishes its links and CPUs from one metrics source; this
+   pins the published values to the links' own accessors, entry by
+   entry. *)
+let link_metrics_tests =
+  [
+    Alcotest.test_case "3x3 torus publishes every link and cpu" `Quick
+      (fun () ->
+        let sched = Scheduler.create () in
+        let nodes = 9 in
+        let fabric =
+          Fabric.create ~topology:(Topology.Torus2d (3, 3)) ~queue_limit:2 sched
+            ~profile:Profile.myrinet_mcp ~nodes
+        in
+        for nid = 0 to nodes - 1 do
+          Fabric.register fabric (pid nid 0) (fun ~src:_ _ -> ())
+        done;
+        for src = 0 to nodes - 1 do
+          for dst = 0 to nodes - 1 do
+            if src <> dst then
+              for _ = 1 to 3 do
+                Fabric.send fabric ~src:(pid src 0) ~dst:(pid dst 0)
+                  (Bytes.create 2048)
+              done
+          done
+        done;
+        (* A late message leaves its first link's queue below its peak. *)
+        Scheduler.at sched (Time_ns.us 10_000.) (fun () ->
+            Fabric.send fabric ~src:(pid 0 0) ~dst:(pid 1 0) (Bytes.create 64));
+        Scheduler.run sched;
+        Alcotest.(check bool) "the queue limit dropped traffic" true
+          ((Fabric.stats fabric).Fabric.drops_congested > 0);
+        let snap = Metrics.snapshot (Scheduler.metrics sched) in
+        let labelled key v =
+          List.filter
+            (fun (e : Metrics.Snapshot.entry) ->
+              e.Metrics.Snapshot.labels = [ (key, v) ])
+            snap
+        in
+        let value key v name =
+          match Metrics.Snapshot.find snap ~labels:[ (key, v) ] name with
+          | Some (Metrics.Snapshot.Gauge g) -> g
+          | _ -> Alcotest.failf "%s{%s=%s} missing" name key v
+        in
+        let topo = Fabric.topology fabric in
+        Alcotest.(check int) "36 hop links" 36 (Topology.link_count topo);
+        let now_us = Time_ns.to_us (Scheduler.now sched) in
+        let flo = float_of_int in
+        for id = 0 to Topology.link_count topo - 1 do
+          let name = Topology.link_name topo id in
+          let l = Fabric.hop_link fabric id in
+          Alcotest.(check int) (name ^ " entries") 6
+            (List.length (labelled "link" name));
+          let v = value "link" name in
+          let busy_us = Time_ns.to_us (Link.busy_time l) in
+          Alcotest.(check (float 0.)) "busy_ns" (flo (Link.busy_time l))
+            (v "link.busy_ns");
+          Alcotest.(check (float 0.)) "busy_us" busy_us (v "link.busy_us");
+          Alcotest.(check (float 0.)) "utilization" (busy_us /. now_us)
+            (v "link.utilization");
+          Alcotest.(check (float 0.)) "queue_depth"
+            (flo (Link.peak_queue_depth l)) (v "link.queue_depth");
+          Alcotest.(check (float 0.)) "flows" (flo (Link.peak_flows l))
+            (v "link.flows");
+          Alcotest.(check (float 0.)) "congestion_drops"
+            (flo (Link.congestion_drops l)) (v "link.congestion_drops")
+        done;
+        for nid = 0 to nodes - 1 do
+          let node = Fabric.node fabric nid in
+          let link = "link" ^ string_of_int nid and cpu = "cpu" ^ string_of_int nid in
+          Alcotest.(check int) (link ^ " entries") 2 (List.length (labelled "link" link));
+          Alcotest.(check (float 0.)) "node link busy_us"
+            (Time_ns.to_us (Link.busy_time (Node.tx_link node)))
+            (value "link" link "link.busy_us");
+          Alcotest.(check int) (cpu ^ " entries") 3 (List.length (labelled "cpu" cpu));
+          Alcotest.(check (float 0.)) "cpu stolen_us"
+            (Time_ns.to_us (Cpu.stolen_total (Node.host_cpu node)))
+            (value "cpu" cpu "cpu.stolen_us")
+        done;
+        let sum name =
+          List.fold_left
+            (fun acc (e : Metrics.Snapshot.entry) ->
+              match e.Metrics.Snapshot.value with
+              | Metrics.Snapshot.Gauge g -> acc +. g
+              | _ -> acc)
+            0. (Metrics.Snapshot.filter snap name)
+        in
+        Alcotest.(check (float 0.)) "per-link drops add up to the fabric's"
+          (flo (Fabric.stats fabric).Fabric.drops_congested)
+          (sum "link.congestion_drops");
+        Alcotest.(check int) "no other link or cpu entries"
+          ((36 * 6) + (nodes * 2) + (nodes * 3))
+          (List.length
+             (List.filter
+                (fun (e : Metrics.Snapshot.entry) ->
+                  List.mem_assoc "link" e.Metrics.Snapshot.labels
+                  || List.mem_assoc "cpu" e.Metrics.Snapshot.labels)
+                snap)));
+    Alcotest.test_case "a second transport's engines replace the first's" `Quick
+      (fun () ->
+        let sched, fabric = mk_fabric ~nodes:2 () in
+        let first = Transport.node_engines fabric "rx" in
+        let second = Transport.node_engines fabric "rx" in
+        ignore (Link.occupy first.(0) 5_000);
+        ignore (Link.occupy second.(0) 2_000);
+        let snap = Metrics.snapshot (Scheduler.metrics sched) in
+        Alcotest.(check int) "one rx0 busy entry" 1
+          (List.length
+             (List.filter
+                (fun (e : Metrics.Snapshot.entry) ->
+                  e.Metrics.Snapshot.labels = [ ("link", "rx0") ])
+                (Metrics.Snapshot.filter snap "link.busy_us")));
+        match Metrics.Snapshot.find snap ~labels:[ ("link", "rx0") ] "link.busy_us" with
+        | Some (Metrics.Snapshot.Gauge g) ->
+          Alcotest.(check (float 0.)) "the second engine's" 2.0 g
+        | _ -> Alcotest.fail "rx0 missing");
   ]
 
 let transport_tests =
@@ -1430,4 +1552,5 @@ let () =
       ("crash", crash_tests);
       ("shard_map", shard_map_tests);
       ("transport", transport_tests);
+      ("link_metrics", link_metrics_tests);
     ]
